@@ -68,7 +68,7 @@ def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
         raise ValueError(f"expected 2-d grayscale planes, got shape {frame_prev.shape}")
     for name, plane in (("prev", frame_prev), ("next", frame_next)):
         lo, hi = float(plane.min()), float(plane.max())
-        if lo < -1e-6 or hi > 1.0 + 1e-6:
+        if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):  # NaN fails this too
             raise ValueError(f"{name} frame values outside [0,1]: min {lo}, max {hi}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")

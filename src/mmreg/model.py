@@ -7,6 +7,7 @@ at each pool (p -> p/2 -> p/4 -> p/8), so p must be divisible by 8.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,17 +98,22 @@ class Network:
         return params
 
 
+def _kernel_shapes(config: ModelConfig) -> list[tuple[int, int, int, int]]:
+    """(K, k, k, Cin) of each conv stage."""
+    k = config.kernel_size
+    depths = [len(config.channels), *config.filters[:2]]
+    return [(c_out, k, k, c_in) for c_in, c_out in zip(depths, config.filters)]
+
+
 def build_model(config: ModelConfig) -> Network:
     """He-initialized network per the config; biases start at zero."""
     config.validate()
-    k = config.kernel_size
-    pad = (k - 1) // 2
-    depths = [len(config.channels), *config.filters[:2]]
+    pad = (config.kernel_size - 1) // 2
     layers = []
-    for i, (c_in, c_out) in enumerate(zip(depths, config.filters)):
-        kernels = nn.he_init((c_out, k, k, c_in), seed=config.seed + i)
+    for i, shape in enumerate(_kernel_shapes(config)):
+        kernels = nn.he_init(shape, seed=config.seed + i)
         layers.append(nn.ConvParams(kernels=kernels,
-                                    biases=np.zeros(c_out, dtype=np.float32),
+                                    biases=np.zeros(shape[0], dtype=np.float32),
                                     stride=1, padding=pad))
     dense = nn.he_init((config.n_classes, config.dense_inputs), seed=config.seed + 3)
     return Network(config=config, conv_layers=layers, dense_weights=dense)
@@ -152,9 +158,14 @@ def forward_shapes(net: Network) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch plus gradients for every parameter
-    and for the input batch."""
+def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
+                          input_grad: bool = True):
+    """Mean cross-entropy over the batch and its gradients.
+
+    Returns (loss, per-layer ConvGrads, dense weight grad, input batch
+    grad); the input batch grad is None when input_grad is False, which
+    skips its computation in the first conv layer.
+    """
     logits, flat, pooled_shape, caches = _forward(net, x, keep_cache=True)
     b = x.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
@@ -173,8 +184,8 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
         a_in, cols, z_pre, idx = caches[i]
         d = nn.maxpool2x2_backward(idx, d)
         d = nn.relu_backward(z_pre, d)
-        d, grads = nn.conv2d_backward(a_in, net.conv_layers[i], d, _cols=cols)
-        conv_grads[i] = grads
+        d, conv_grads[i] = nn.conv2d_backward(a_in, net.conv_layers[i], d, _cols=cols,
+                                              input_grad=input_grad or i > 0)
     return loss, conv_grads, d_dense, d
 
 
@@ -206,24 +217,14 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
         batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            loss, conv_grads, d_dense, _ = _batch_loss_and_grads(net, x[idx], y[idx])
+            loss, conv_grads, d_dense, _ = _batch_loss_and_grads(net, x[idx], y[idx],
+                                                                 input_grad=False)
             if not np.isfinite(loss):
                 raise ValueError(f"training diverged: non-finite loss {loss}")
             batch_losses.append(loss)
-            grads = []
-            for g in conv_grads:
-                grads.extend([g.kernels, g.biases])
-            grads.append(d_dense)
-            params = net.parameters()
-            new_params = []
-            for j, (p, g) in enumerate(zip(params, grads)):
-                p_new, velocities[j] = nn.sgd_step(p, g, config.learning_rate,
-                                                   config.momentum, velocities[j])
-                new_params.append(p_new)
-            for i, layer in enumerate(net.conv_layers):
-                layer.kernels = new_params[2 * i]
-                layer.biases = new_params[2 * i + 1]
-            net.dense_weights = new_params[-1]
+            grads = [g for layer in conv_grads for g in (layer.kernels, layer.biases)] + [d_dense]
+            for p, g, v in zip(net.parameters(), grads, velocities):
+                nn.sgd_step(p, g, config.learning_rate, config.momentum, v)
         history.append(float(np.mean(batch_losses)))
     return net, history
 
@@ -364,12 +365,17 @@ def load_checkpoint(path) -> Network:
     config.validate()
     offset += config_len
 
+    # size the weights from the config before allocating them, so a forged
+    # filter count cannot force a huge allocation
+    weight_count = sum(math.prod(shape) + shape[0] for shape in _kernel_shapes(config))
+    weight_count += config.n_classes * config.dense_inputs
+    if len(data) - offset < 4 * weight_count:
+        raise FormatError(f"{path}: truncated weights at byte offset {offset} "
+                          f"(config needs {4 * weight_count} bytes, have {len(data) - offset})")
+
     net = build_model(config)
     for param in net.parameters():
         nbytes = param.size * 4
-        if len(data) < offset + nbytes:
-            raise FormatError(f"{path}: truncated weights at byte offset {offset} "
-                              f"(need {nbytes} bytes, have {len(data) - offset})")
         values = np.frombuffer(data, dtype="<f4", count=param.size, offset=offset)
         param[...] = values.reshape(param.shape)
         offset += nbytes

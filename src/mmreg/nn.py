@@ -2,7 +2,8 @@
 
 Images are (H, W, C) arrays, batches (B, H, W, C); every op accepts either
 and returns the matching rank. float32 is the working precision; pass
-float64 arrays when running gradient checks. All functions are pure and
+float64 arrays when running gradient checks. All functions except
+sgd_step, which updates its arrays in place, are pure, and all are
 bit-deterministic for identical inputs.
 """
 
@@ -185,12 +186,14 @@ def conv2d_forward_reference(x: Array, params: ConvParams) -> Array:
 
 
 def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
-                    _cols: Array | None = None) -> tuple[Array, ConvGrads]:
+                    _cols: Array | None = None,
+                    input_grad: bool = True) -> tuple[Array | None, ConvGrads]:
     """Gradients of a scalar loss through conv2d_forward.
 
     upstream must have the forward output shape. Returns (input grad,
     parameter grads); batched inputs accumulate parameter grads over the
-    batch in a fixed order.
+    batch in a fixed order. With input_grad=False the input grad is not
+    computed and None is returned in its place.
     """
     xb, squeeze = _as_batch(x)
     out_h, out_w = _conv_geometry(xb, params)
@@ -207,6 +210,9 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
     dw_mat = np.tensordot(_cols, u_mat, axes=([0, 1], [0, 1]))  # (k*k*Cin, K)
     d_kernels = dw_mat.T.reshape(params.kernels.shape)
     d_biases = u_mat.sum(axis=(0, 1))
+    grads = ConvGrads(kernels=d_kernels, biases=d_biases)
+    if not input_grad:
+        return None, grads
 
     # scatter the input gradient one kernel tap at a time: each tap is a
     # plain GEMM with a contiguous result, avoiding strided accumulation
@@ -223,7 +229,7 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
     dx = d_padded[:, pad:pad + h, pad:pad + w, :]
     if squeeze:
         dx = dx[0]
-    return dx, ConvGrads(kernels=d_kernels, biases=d_biases)
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +242,27 @@ def maxpool2x2_forward(x: Array) -> tuple[Array, Array]:
 
     Indices have the pooled shape with values in {0,1,2,3} encoding the
     winner position (row*2 + col) inside each window; ties go to the
-    first (top-left-most) element.
+    first (top-left-most) element, and each pooled value is that
+    element bit for bit, +0.0 and -0.0 included. A window holding NaN
+    pools to NaN with index 3.
     """
     xb, squeeze = _as_batch(x)
-    b, h, w, c = xb.shape
+    _, h, w, _ = xb.shape
     _require(h % 2 == 0 and w % 2 == 0, f"pooling needs even spatial dims, got {h}x{w}")
-    windows = (xb.reshape(b, h // 2, 2, w // 2, 2, c)
-                 .transpose(0, 1, 3, 2, 4, 5)
-                 .reshape(b, h // 2, w // 2, 4, c))
-    idx = windows.argmax(axis=3).astype(np.uint8)
-    pooled = np.take_along_axis(windows, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    q = [xb[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # window elements, row-major
+    pooled = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    # n_k is 1 where element k is below the max; the winner is the first
+    # element that is not: idx = 0 if n0 == 0, else 1 if n1 == 0, ...
+    n0, n1, n2 = ((qk != pooled).view(np.uint8) for qk in q[:3])
+    idx = n0 * (1 + n1 * (1 + n2))
+    # Equal values have equal bits except +0.0 and -0.0, where np.maximum
+    # may return either operand. Only an input with a sign bit set can hold
+    # -0.0; then copy the winner itself into every zero-valued window.
+    bits = xb.view(f"u{xb.itemsize}")
+    if bits.max(initial=0) >> (8 * xb.itemsize - 1):
+        zero = np.nonzero(pooled == 0)
+        k = idx[zero]
+        pooled[zero] = xb[zero[0], 2 * zero[1] + k // 2, 2 * zero[2] + k % 2, zero[3]]
     if squeeze:
         return pooled[0], idx[0]
     return pooled, idx
@@ -312,12 +329,17 @@ def dense_softmax_xent(x: Array, weights: Array, label: int) -> tuple[Array, flo
 
 def sgd_step(param: Array, grad: Array, learning_rate: float, momentum: float = 0.0,
              velocity: Array | None = None) -> tuple[Array, Array]:
-    """One SGD update: v <- momentum*v + g, w <- w - lr*v. Returns (w, v)."""
+    """One SGD update in place: v <- momentum*v + g, w <- w - lr*v.
+
+    param and velocity (zeros when None) are overwritten; returns (w, v).
+    """
     _require(param.shape == grad.shape,
              f"param shape {param.shape} does not match grad shape {grad.shape}")
     if velocity is None:
         velocity = np.zeros_like(param)
     _require(velocity.shape == param.shape,
              f"velocity shape {velocity.shape} does not match param shape {param.shape}")
-    v = momentum * velocity + grad
-    return param - learning_rate * v, v
+    velocity *= momentum
+    velocity += grad
+    param -= learning_rate * velocity
+    return param, velocity

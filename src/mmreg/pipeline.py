@@ -62,7 +62,7 @@ class Frame:
             elif plane.shape != shape:
                 raise ValueError(f"channel {name} shape {plane.shape} differs from {shape}")
             lo, hi = float(plane.min()), float(plane.max())
-            if lo < 0.0 or hi > 1.0:
+            if not (lo >= 0.0 and hi <= 1.0):  # NaN fails this too
                 raise ValueError(f"channel {name} values outside [0,1]: min {lo}, max {hi}")
             planes[name] = plane
         self._channels = {name: planes[name]

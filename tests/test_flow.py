@@ -49,6 +49,10 @@ class TestEstimateFlow:
         bad = np.full((4, 4), 1.5)
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             flow.estimate_flow(bad, np.zeros((4, 4)))
+        with_nan = np.full((4, 4), 0.5)
+        with_nan[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            flow.estimate_flow(np.zeros((4, 4)), with_nan)
 
     def test_bad_params_rejected(self):
         a = np.zeros((4, 4))

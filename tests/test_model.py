@@ -1,3 +1,7 @@
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +161,23 @@ class TestTrain:
         numeric = central_diff_grad(loss_of_k0, net.conv_layers[0].kernels)
         assert max_rel_error(conv_grads[0].kernels, numeric) < 1e-4
 
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        # speed-ups of the training loop must keep checkpoints byte-identical;
+        # the digest was recorded with numpy 2.4 and its bundled OpenBLAS
+        # 0.3.31 on x86-64, and another BLAS build may round differently
+        config = model.ModelConfig(patch_size=8, channels=("Gr", "L"), filters=(2, 3, 4),
+                                   kernel_size=3, n_classes=3, seed=11)
+        rng = np.random.default_rng(40)
+        x = np.maximum(rng.standard_normal((50, 8, 8, 2)).astype(np.float32) * 0.3 + 0.5, 0)
+        y = rng.integers(0, 3, size=50)
+        net = model.build_model(config)
+        model.train(net, x, y, model.TrainConfig(batch_size=16, epochs=3, learning_rate=0.05,
+                                                 momentum=0.9, seed=2))
+        path = tmp_path / "model.mmrc"
+        model.save_checkpoint(net, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "478cd119ca6491a99e7c17af047673b3eeb7a0d2cc2668aab438a73859862593"
+
 
 class TestPredict:
     def test_constructed_dominant_class(self):
@@ -268,6 +289,22 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(FormatError, match="truncated"):
             model.load_checkpoint(path)
+
+    def test_forged_filter_counts_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "model.mmrc"
+        model.save_checkpoint(model.build_model(TINY), path)
+        data = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", data, 8)
+        text = data[12:12 + config_len].replace(b"filters=2,2,2", b"filters=2,100000000,100000000")
+        path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + config_len:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated weights"):
+                model.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mmrc"

@@ -126,6 +126,17 @@ class TestConvBackward:
         assert max_rel_error(dx, central_diff_grad(loss_wrt_input, x)) < 1e-6
         assert max_rel_error(grads.kernels, central_diff_grad(loss_wrt_kernels, params.kernels)) < 1e-6
 
+    def test_skipping_input_grad_keeps_param_grads(self):
+        rng = np.random.default_rng(22)
+        xb = rng.random((4, 8, 8, 3), dtype=np.float32)
+        params = make_conv(24, 5, 5, 3, padding=2)
+        ub = rng.standard_normal((4, 8, 8, 5)).astype(np.float32)
+        _, full = nn.conv2d_backward(xb, params, ub)
+        dx, skipped = nn.conv2d_backward(xb, params, ub, input_grad=False)
+        assert dx is None
+        assert skipped.kernels.tobytes() == full.kernels.tobytes()
+        assert skipped.biases.tobytes() == full.biases.tobytes()
+
     def test_batch_accumulates_param_grads(self):
         rng = np.random.default_rng(21)
         xb = rng.standard_normal((3, 6, 6, 2))
@@ -141,7 +152,50 @@ class TestConvBackward:
         np.testing.assert_allclose(grads.kernels, k_sum, atol=1e-10)
 
 
+def maxpool_oracle(x):
+    """The reshape/argmax/take_along_axis pooling that maxpool2x2_forward
+    replaced; its (pooled, idx) bytes are the contract."""
+    xb = x if x.ndim == 4 else x[None]
+    b, h, w, c = xb.shape
+    windows = (xb.reshape(b, h // 2, 2, w // 2, 2, c)
+                 .transpose(0, 1, 3, 2, 4, 5)
+                 .reshape(b, h // 2, w // 2, 4, c))
+    idx = windows.argmax(axis=3).astype(np.uint8)
+    pooled = np.take_along_axis(windows, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return (pooled, idx) if x.ndim == 4 else (pooled[0], idx[0])
+
+
+def pool_case(kind, dtype, rng):
+    shape = (3, 6, 8, 5)
+    if kind == "random":
+        return rng.standard_normal(shape).astype(dtype)
+    if kind == "relu":
+        return np.maximum(rng.standard_normal(shape), 0).astype(dtype)
+    if kind == "zeros":
+        return np.zeros(shape, dtype=dtype)
+    if kind == "constant":
+        return np.repeat(rng.random((3, 6, 8, 1)), 5, axis=3).astype(dtype)
+    # mixed signed zeros, with some windows also holding a positive value
+    x = np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(dtype)
+    x[rng.random(shape) < 0.1] = 0.25
+    return x
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("kind", ["random", "relu", "zeros", "constant", "signed_zeros"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_matches_argmax_oracle_bitwise(self, kind, dtype, batched):
+        x = pool_case(kind, dtype, np.random.default_rng(40))
+        if not batched:
+            x = x[1]
+        pooled, idx = nn.maxpool2x2_forward(x)
+        want_pooled, want_idx = maxpool_oracle(x)
+        assert pooled.dtype == want_pooled.dtype and idx.dtype == want_idx.dtype
+        assert pooled.shape == want_pooled.shape and idx.shape == want_idx.shape
+        assert pooled.tobytes() == want_pooled.tobytes()
+        assert idx.tobytes() == want_idx.tobytes()
+
     def test_window_example(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
         pooled, idx = nn.maxpool2x2_forward(x)
@@ -275,6 +329,16 @@ class TestSgd:
         w2 = w1 - 0.1 * v2
         assert v[0] == pytest.approx(v2)
         assert w[0] == pytest.approx(w2)
+
+
+    def test_updates_arrays_in_place(self):
+        w = np.array([1.0, 2.0], dtype=np.float32)
+        v = np.array([0.5, -0.5], dtype=np.float32)
+        w_out, v_out = nn.sgd_step(w, np.array([1.0, 1.0], dtype=np.float32), 0.5,
+                                   momentum=0.5, velocity=v)
+        assert w_out is w and v_out is v
+        np.testing.assert_array_equal(v, [1.25, 0.75])
+        np.testing.assert_array_equal(w, [0.375, 1.625])
 
 
 class TestHeInit:

@@ -28,6 +28,10 @@ class TestFrame:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             Frame({"R": np.full((4, 4), 1.5)})
+        plane = np.full((4, 4), 0.5)
+        plane[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            Frame({"R": plane})
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValueError, match="unknown channel"):
@@ -86,6 +90,17 @@ class TestMmfRoundTrip:
         payload = pipeline.MMF_MAGIC + struct.pack("<III", 1, 1, 1) + bytes([42]) + b"\x00" * 4
         path.write_bytes(payload)
         with pytest.raises(FormatError, match="unknown channel id 42"):
+            read_frame(path)
+
+    def test_nan_value_rejected(self, tmp_path):
+        rng = np.random.default_rng(6)
+        frame = random_frame(rng, height=2, width=3, names=("R", "L"))
+        path = tmp_path / "nan.mmf"
+        write_frame(frame, path)
+        data = bytearray(path.read_bytes())
+        data[-8:-4] = np.array([np.nan], dtype="<f4").tobytes()  # a value of plane L
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"channel L values outside \[0,1\]"):
             read_frame(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
