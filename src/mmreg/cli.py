@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -137,20 +138,32 @@ def cmd_flow(args) -> int:
     paths = _frame_paths(Path(args.in_dir))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prev_gray = None
-    for path in paths:
-        frame = read_frame(path)
-        if not frame.has_channel("Gr"):
-            frame = rgb_to_gray(frame)
-        gray = frame.plane("Gr")
-        if prev_gray is None:
+
+    def pairs():
+        """(previous frame or None, frame), each frame read once."""
+        prev = None
+        for path in paths:
+            frame = read_frame(path)
+            if not frame.has_channel("Gr"):
+                frame = rgb_to_gray(frame)
+            yield prev, frame
+            prev = frame
+
+    def with_flow(pair) -> Frame:
+        prev, frame = pair
+        if prev is None:
             field = flow_mod.zero_flow(frame.height, frame.width)
         else:
-            field = flow_mod.estimate_flow(prev_gray, gray,
+            field = flow_mod.estimate_flow(prev.plane("Gr"), frame.plane("Gr"),
                                            alpha=args.alpha, iterations=args.iters)
         u01, v01 = flow_mod.flow_to_channels(field, clamp=args.clamp)
-        write_frame(frame.with_channels({"U": u01, "V": v01}), out / path.name)
-        prev_gray = gray
+        return frame.with_channels({"U": u01, "V": v01})
+
+    # consecutive pairs are independent; results come back in frame order,
+    # and closing joins the pool's threads even when a write fails
+    with closing(pipeline.bounded_map(with_flow, pairs(), worker_count())) as flowed:
+        for frame, path in zip(flowed, paths):
+            write_frame(frame, out / path.name)
     _write_run_config(args, out, extra={"frame_count": len(paths)})
     print(f"wrote {len(paths)} flow-augmented frames to {out}")
     return 0

@@ -20,6 +20,9 @@ DEFAULT_CLAMP = 8.0
 # the smoothness term swamp the data term.
 _BRIGHTNESS_SCALE = 255.0
 
+_SIXTH = np.float32(1.0 / 6.0)
+_TWELFTH = np.float32(1.0 / 12.0)
+
 
 @dataclass
 class FlowField:
@@ -41,14 +44,6 @@ def _central_dx(plane: np.ndarray) -> np.ndarray:
 def _central_dy(plane: np.ndarray) -> np.ndarray:
     p = _replicate_pad(plane)
     return 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1])
-
-
-def _neighbor_average(plane: np.ndarray) -> np.ndarray:
-    # classic Horn-Schunck weighting: 4-neighbors 1/6, diagonals 1/12
-    p = _replicate_pad(plane)
-    cross = p[1:-1, 2:] + p[1:-1, :-2] + p[2:, 1:-1] + p[:-2, 1:-1]
-    diag = p[2:, 2:] + p[2:, :-2] + p[:-2, 2:] + p[:-2, :-2]
-    return cross * (1.0 / 6.0) + diag * (1.0 / 12.0)
 
 
 def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
@@ -82,15 +77,51 @@ def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
     et = nxt - prev
     denom = np.float32(alpha) ** 2 + ex * ex + ey * ey
 
-    u = np.zeros_like(prev)
-    v = np.zeros_like(prev)
+    # Jacobi iterations on u and v together, in one edge-padded buffer
+    # updated in place, so nothing is allocated inside the loop. The float32
+    # operations run in the order of the plain expressions
+    #   bar = (right + left + below + above) * 1/6
+    #         + (below right + below left + above right + above left) * 1/12
+    #   t = (ex * u_bar + ey * v_bar + et) / denom
+    #   u = u_bar - ex * t,  v = v_bar - ey * t
+    # and so give the same bits; tests/test_flow.py keeps that loop as oracle.
+    h, w = prev.shape
+    uv = np.zeros((2, h + 2, w + 2), dtype=np.float32)
+    pair = np.empty((2, h + 1, w), dtype=np.float32)
+    bar = np.empty((2, h, w), dtype=np.float32)
+    diag = np.empty((2, h, w), dtype=np.float32)
+    t = np.empty((h, w), dtype=np.float32)
+    tmp = np.empty((h, w), dtype=np.float32)
+    u_bar, v_bar = bar
+    u_out, v_out = uv[:, 1:-1, 1:-1]
     for _ in range(iterations):
-        u_bar = _neighbor_average(u)
-        v_bar = _neighbor_average(v)
-        t = (ex * u_bar + ey * v_bar + et) / denom
-        u = u_bar - ex * t
-        v = v_bar - ey * t
-    return FlowField(u=u, v=v)
+        # edge replication: border columns first, then full rows (corners)
+        uv[:, 1:-1, 0] = uv[:, 1:-1, 1]
+        uv[:, 1:-1, -1] = uv[:, 1:-1, -2]
+        uv[:, 0] = uv[:, 1]
+        uv[:, -1] = uv[:, -2]
+        # neighbor average: 4-neighbors 1/6, diagonals 1/12. The right+left
+        # sum of a row starts both the cross sum of that row and the
+        # diagonal sum of the row above it.
+        np.add(uv[:, 1:, 2:], uv[:, 1:, :-2], out=pair)
+        np.add(pair[:, :-1], uv[:, 2:, 1:-1], out=bar)
+        np.add(bar, uv[:, :-2, 1:-1], out=bar)
+        np.add(pair[:, 1:], uv[:, :-2, 2:], out=diag)
+        np.add(diag, uv[:, :-2, :-2], out=diag)
+        np.multiply(bar, _SIXTH, out=bar)
+        np.multiply(diag, _TWELFTH, out=diag)
+        np.add(bar, diag, out=bar)
+        # data term and update
+        np.multiply(ex, u_bar, out=t)
+        np.multiply(ey, v_bar, out=tmp)
+        np.add(t, tmp, out=t)
+        np.add(t, et, out=t)
+        np.divide(t, denom, out=t)
+        np.multiply(ex, t, out=tmp)
+        np.subtract(u_bar, tmp, out=u_out)
+        np.multiply(ey, t, out=tmp)
+        np.subtract(v_bar, tmp, out=v_out)
+    return FlowField(u=u_out.copy(), v=v_out.copy())
 
 
 def flow_to_channels(flow: FlowField, clamp: float = DEFAULT_CLAMP) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,11 @@ the same frames reproduces the dataset bit-exactly.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -238,6 +239,38 @@ def variance_keep(l_patch: np.ndarray, tau: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Ordered thread map
+# ---------------------------------------------------------------------------
+
+def bounded_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """Yield fn(item) for each item, in input order, from a pool of
+    ``workers`` threads; calls run inline when workers <= 1.
+
+    At most 2 * workers items are pulled from ``items`` ahead of the
+    consumer, so memory stays flat on long inputs. An exception from fn
+    is raised when its result is due; one from ``items`` is raised when
+    the item is pulled. Either way the pool's threads have exited by the
+    time the exception leaves this generator.
+    """
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    window = 2 * workers
+    pending: deque = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+# ---------------------------------------------------------------------------
 # Dataset assembly
 # ---------------------------------------------------------------------------
 
@@ -317,14 +350,8 @@ def iter_patch_samples(frames: Iterable[Frame], offsets: list[OffsetClass], p: i
         return out
 
     def generate():
-        indexed = enumerate(frames)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for batch in pool.map(frame_samples, indexed):
-                    yield from batch
-        else:
-            for item in indexed:
-                yield from frame_samples(item)
+        for batch in bounded_map(frame_samples, enumerate(frames), workers):
+            yield from batch
 
     return generate()
 

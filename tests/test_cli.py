@@ -1,3 +1,6 @@
+import struct
+import threading
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,55 @@ class TestFlow:
 
     def test_missing_dir_fails(self, tmp_path):
         assert run("flow", "--in-dir", tmp_path / "nope", "--out", tmp_path / "o") == 1
+
+
+class TestFlowWorkers:
+    @pytest.mark.parametrize("damage", ["corrupt", "out_of_range", "other_size"])
+    def test_bad_middle_frame_fails_cleanly(self, tmp_path, monkeypatch, capsys, damage):
+        src = tmp_path / "src"
+        synth_small(src, frames=5)
+        middle = src / "frame_00002.mmf"
+        if damage == "corrupt":
+            middle.write_bytes(middle.read_bytes()[:40])
+        elif damage == "out_of_range":
+            data = bytearray(middle.read_bytes())
+            first_value = 16 + data[12]  # header, then one id byte per channel
+            data[first_value:first_value + 4] = struct.pack("<f", 1.5)
+            middle.write_bytes(bytes(data))
+        else:  # readable, but estimate_flow rejects the pair in a pool thread
+            other = tmp_path / "other"
+            run("synth", "--out", other, "--frames", 1, "--width", 48, "--height", 64,
+                "--objects", 6)
+            middle.write_bytes((other / "frame_00000.mmf").read_bytes())
+        capsys.readouterr()
+        monkeypatch.setenv("MMREG_THREADS", "2")
+        threads_before = threading.active_count()
+        assert run("flow", "--in-dir", src, "--out", tmp_path / "dst") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert threading.active_count() == threads_before
+
+
+class TestThreadCountDeterminism:
+    def test_outputs_identical_across_mmreg_threads(self, tmp_path, monkeypatch):
+        trees = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MMREG_THREADS", threads)
+            root = tmp_path / f"threads{threads}"
+            assert synth_small(root / "raw", seed=21, frames=5) == 0
+            assert run("flow", "--in-dir", root / "raw", "--out", root / "flowed") == 0
+            assert run("dataset", "--in-dir", root / "flowed", "--out", root / "ds",
+                       "--p", 16, "--s", 16, "--tau", 0, "--classes", 5,
+                       "--major", 8, "--minor", 4) == 0
+            assert run("train", "--dataset", root / "ds" / "manifest.txt",
+                       "--out", root / "run", "--channels", "GrLUV", "--filters", "2,2,2",
+                       "--kernel", 3, "--epochs", 1, "--batch", 50, "--seed", 1) == 0
+            trees.append({p.relative_to(root).as_posix(): p.read_bytes()
+                          for p in sorted(root.rglob("*"))
+                          if p.is_file() and p.name != "run_config.txt"})
+        assert len(trees[0]) == 5 + 5 + 1 + 2
+        assert trees[1] == trees[0]
+        assert trees[2] == trees[0]
 
 
 @pytest.fixture(scope="module")

@@ -77,6 +77,60 @@ class TestEstimateFlow:
         assert np.isfinite(field.u).all() and np.isfinite(field.v).all()
 
 
+def reference_estimate_flow(frame_prev, frame_next, alpha, iterations):
+    """The Horn-Schunck loop as first written, with np.pad and fresh arrays
+    on every iteration: the oracle for the buffered loop in flow.py."""
+    def pad(plane):
+        return np.pad(plane, 1, mode="edge")
+
+    def neighbor_average(plane):
+        p = pad(plane)
+        cross = p[1:-1, 2:] + p[1:-1, :-2] + p[2:, 1:-1] + p[:-2, 1:-1]
+        diag = p[2:, 2:] + p[2:, :-2] + p[:-2, 2:] + p[:-2, :-2]
+        return cross * (1.0 / 6.0) + diag * (1.0 / 12.0)
+
+    def central_dx(plane):
+        p = pad(plane)
+        return 0.5 * (p[1:-1, 2:] - p[1:-1, :-2])
+
+    def central_dy(plane):
+        p = pad(plane)
+        return 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1])
+
+    prev = np.asarray(frame_prev, dtype=np.float32) * np.float32(255.0)
+    nxt = np.asarray(frame_next, dtype=np.float32) * np.float32(255.0)
+    ex = 0.5 * (central_dx(prev) + central_dx(nxt))
+    ey = 0.5 * (central_dy(prev) + central_dy(nxt))
+    et = nxt - prev
+    denom = np.float32(alpha) ** 2 + ex * ex + ey * ey
+    u = np.zeros_like(prev)
+    v = np.zeros_like(prev)
+    for _ in range(iterations):
+        u_bar = neighbor_average(u)
+        v_bar = neighbor_average(v)
+        t = (ex * u_bar + ey * v_bar + et) / denom
+        u = u_bar - ex * t
+        v = v_bar - ey * t
+    return u, v
+
+
+class TestBufferedLoopMatchesReference:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (5, 7), (48, 48),
+                                       (96, 128)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    @pytest.mark.parametrize("iterations", [1, 2, 200])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    def test_bit_identical(self, shape, iterations, alpha):
+        rng = np.random.default_rng([*shape, iterations, int(2 * alpha)])
+        prev = rng.random(shape, dtype=np.float32)
+        nxt = rng.random(shape, dtype=np.float32)
+        for a, b in ((prev, nxt), (prev, prev)):
+            field = flow.estimate_flow(a, b, alpha=alpha, iterations=iterations)
+            u, v = reference_estimate_flow(a, b, alpha, iterations)
+            assert field.u.dtype == np.float32 and field.u.shape == shape
+            assert field.u.tobytes() == u.tobytes()
+            assert field.v.tobytes() == v.tobytes()
+
+
 class TestFlowToChannels:
     def test_zero_maps_to_half(self):
         field = flow.zero_flow(4, 4)

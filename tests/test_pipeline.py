@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,29 @@ class TestBuildDataset:
         assert manifest.channels == ["Gr", "L"]
         assert samples[0].data.shape == (16, 16, 2)
         np.testing.assert_array_equal(samples[0].data[:, :, 0], frame.plane("Gr")[:16, :16])
+
+
+class TestBoundedMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ordered_and_never_more_than_window_ahead(self, workers):
+        pulled = 0
+
+        def counting(n):
+            nonlocal pulled
+            for i in range(n):
+                pulled += 1
+                yield i
+
+        def slow_square(i):
+            time.sleep(0.002 * (i % 3))  # later items often finish first
+            return i * i
+
+        results = []
+        for value in pipeline.bounded_map(slow_square, counting(20), workers):
+            assert pulled - len(results) <= 2 * workers
+            results.append(value)
+        assert results == [i * i for i in range(20)]
+        assert pulled == 20
 
 
 class TestManifestRoundTrip:
