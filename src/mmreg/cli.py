@@ -12,13 +12,15 @@ import argparse
 import os
 import sys
 from contextlib import closing
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import evaluation, flow as flow_mod, model, pipeline, synth
 from .offsets import generate_offsets
-from .pipeline import Frame, read_frame, read_manifest, rgb_to_gray, write_frame
+from .pipeline import FormatError, Frame, read_frame, read_manifest, rgb_to_gray, write_frame
 
 
 def worker_count() -> int:
@@ -95,6 +97,21 @@ def _frame_paths(in_dir: Path) -> list[Path]:
     return paths
 
 
+def _read_frames(paths: list[Path]) -> Iterator[Frame]:
+    """Read frames in order; each must have the first frame's size and channels."""
+    first = None
+    for path in paths:
+        frame = read_frame(path)
+        first = first or frame
+        if (frame.width, frame.height) != (first.width, first.height):
+            raise FormatError(f"{path}: frame size {frame.width}x{frame.height} differs "
+                              f"from {first.width}x{first.height} of {paths[0]}")
+        if frame.channel_names != first.channel_names:
+            raise FormatError(f"{path}: channels {frame.channel_names} differ from "
+                              f"{first.channel_names} of {paths[0]}")
+        yield frame
+
+
 def _resolve_frames_dir(manifest_path: Path, manifest, override: str | None) -> Path:
     if override:
         return Path(override)
@@ -142,8 +159,7 @@ def cmd_flow(args) -> int:
     def pairs():
         """(previous frame or None, frame), each frame read once."""
         prev = None
-        for path in paths:
-            frame = read_frame(path)
+        for frame in _read_frames(paths):
             if not frame.has_channel("Gr"):
                 frame = rgb_to_gray(frame)
             yield prev, frame
@@ -176,18 +192,16 @@ def cmd_dataset(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    first = read_frame(paths[0])
+    frames = _read_frames(paths)
+    first = next(frames)
     channels = first.channel_names
 
-    def frames():
-        yield first
-        for path in paths[1:]:
-            yield read_frame(path)
+    def kept(frame) -> int:
+        return sum(int(pipeline.patch_grid(frame, offset, args.p, args.s, args.tau,
+                                           args.fill, ["L"])[1].sum())
+                   for offset in offsets)
 
-    count = 0
-    for _ in pipeline.iter_patch_samples(frames(), offsets, args.p, args.s, args.tau,
-                                         args.fill, channels, workers=worker_count()):
-        count += 1
+    count = sum(pipeline.bounded_map(kept, chain([first], frames), worker_count()))
     if count == 0:
         raise ValueError(f"variance filter (tau={args.tau}) dropped every patch; lower tau")
 
@@ -204,10 +218,11 @@ def cmd_dataset(args) -> int:
     return 0
 
 
-def _load_manifest_frames(manifest_path: Path, manifest, override: str | None) -> list[Frame]:
+def _manifest_frame_paths(manifest_path: Path, manifest, override: str | None) -> list[Path]:
     frames_dir = _resolve_frames_dir(manifest_path, manifest, override)
-    names = manifest.frame_files or [p.name for p in _frame_paths(frames_dir)]
-    return [read_frame(frames_dir / name) for name in names]
+    if not manifest.frame_files:
+        return _frame_paths(frames_dir)
+    return [frames_dir / name for name in manifest.frame_files]
 
 
 def cmd_train(args) -> int:
@@ -231,24 +246,30 @@ def cmd_train(args) -> int:
     )
     net = model.build_model(config)
 
-    frames_dir = _resolve_frames_dir(manifest_path, manifest, args.frames)
-    names = manifest.frame_files or [p.name for p in _frame_paths(frames_dir)]
-
-    def frames():
-        for name in names:
-            yield read_frame(frames_dir / name)
-
-    stream = pipeline.iter_patch_samples(frames(), manifest.offsets, manifest.patch_size,
-                                         manifest.stride, manifest.tau, manifest.fill,
-                                         selected, workers=worker_count())
-    data, labels = [], []
-    for sample in stream:
-        data.append(sample.data)
-        labels.append(sample.label)
-    if not data:
-        raise ValueError("dataset manifest reproduces zero patches; lower tau")
-    x = np.stack(data)
-    y = np.array(labels, dtype=np.int64)
+    paths = _manifest_frame_paths(manifest_path, manifest, args.frames)
+    frames = _read_frames(paths)
+    first = next(frames)
+    rows, cols = pipeline.patch_grid_shape(first.height, first.width, manifest.patch_size,
+                                           manifest.stride)
+    bound = len(paths) * len(manifest.offsets) * rows * cols
+    if not 1 <= manifest.patch_count <= bound:
+        raise FormatError(f"{manifest_path}: patch_count {manifest.patch_count} outside "
+                          f"[1, {bound}] for {len(paths)} frames x {len(manifest.offsets)} "
+                          f"offsets x {rows * cols} grid cells")
+    x = np.empty((manifest.patch_count, manifest.patch_size, manifest.patch_size,
+                  len(selected)), dtype=np.float32)
+    y = np.empty(manifest.patch_count, dtype=np.int64)
+    stream = pipeline.iter_patch_samples(chain([first], frames), manifest.offsets,
+                                         manifest.patch_size, manifest.stride, manifest.tau,
+                                         manifest.fill, selected, workers=worker_count())
+    count = 0
+    with closing(stream):
+        for count, sample in enumerate(stream, 1):
+            if count <= len(y):
+                x[count - 1], y[count - 1] = sample.data, sample.label
+    if count != len(y):
+        raise FormatError(f"{manifest_path}: frames reproduce {count} patches, not its "
+                          f"patch_count {len(y)}")
 
     train_config = model.TrainConfig(batch_size=args.batch, epochs=args.epochs,
                                      learning_rate=args.lr, momentum=args.momentum,
@@ -281,7 +302,7 @@ def cmd_eval(args) -> int:
     if net.config.patch_size != manifest.patch_size:
         raise ValueError(f"manifest patch size {manifest.patch_size} differs from "
                          f"checkpoint patch size {net.config.patch_size}")
-    frames = _load_manifest_frames(manifest_path, manifest, args.frames)
+    frames = list(_read_frames(_manifest_frame_paths(manifest_path, manifest, args.frames)))
     k_values = _parse_int_list(args.k_list, "--k-list")
 
     report = evaluation.evaluate_run(net, frames, manifest.offsets, k_values,

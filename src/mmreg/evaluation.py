@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import Network, VoteHistogram, predict_batch, require_channels, temporal_fuse, vote_frame
 from .offsets import OffsetClass
-from .pipeline import Frame, _window_view, shift_plane
+from .pipeline import Frame, patch_grid
 
 # 9 maximally distinct class colors (rgb), indexed by class id modulo 9;
 # cells dropped by the variance filter render dark gray.
@@ -112,21 +112,6 @@ class EvalReport:
     patch_maps: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _frame_patches(frame: Frame, offset: OffsetClass, channels: Sequence[str],
-                   p: int, s: int, tau: float, fill: float):
-    """Kept patches plus the keep mask for one (frame, offset) pair."""
-    shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
-    sel = list(channels)
-    stacked = np.empty((frame.height, frame.width, len(sel)), dtype=np.float32)
-    for col, name in enumerate(sel):
-        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
-    windows = _window_view(stacked, p, s)
-    l_windows = _window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
-    keep = l_windows.var(axis=(2, 3)) >= tau
-    kept = windows[keep]
-    return np.ascontiguousarray(kept), keep
-
-
 def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[OffsetClass],
                  k_values: Sequence[int], stride: int, tau: float,
                  fill: float = 0.0) -> EvalReport:
@@ -161,8 +146,9 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
 
     for offset in offsets:
         for frame_index, frame in enumerate(frames):
-            kept, keep = _frame_patches(frame, offset, net.config.channels,
-                                        p, stride, tau, fill)
+            windows, keep = patch_grid(frame, offset, p, stride, tau, fill,
+                                       net.config.channels)
+            kept = windows[keep]
             grid_shape = keep.shape
             if kept.shape[0]:
                 ids, _ = predict_batch(net, kept)

@@ -1,5 +1,5 @@
-"""Frame container, MMF file I/O, depth-offset simulation, patch extraction,
-variance filtering and labeled dataset assembly.
+"""Frame container, MMF file I/O, the patch grid (depth-offset shift,
+channel stack, windows and variance filter) and labeled dataset assembly.
 
 MMF ("multi-modal frame") is a little-endian binary container:
 magic "MMF1", u32 width, u32 height, u32 channel_count, channel_count bytes
@@ -17,7 +17,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -186,20 +186,6 @@ def shift_plane(plane: np.ndarray, dx: int, dy: int, fill: float) -> np.ndarray:
     return out
 
 
-def apply_offset(frame: Frame, offset: OffsetClass, fill: float = DEFAULT_FILL) -> Frame:
-    """Translate only the depth (L) plane by the offset; video/flow planes stay put."""
-    if not frame.has_channel("L"):
-        raise ValueError(f"frame has no L channel to offset; present: {frame.channel_names}")
-    if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
-        raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
-                         f"{frame.width}x{frame.height}")
-    if not 0.0 <= fill <= 1.0:
-        raise ValueError(f"fill value {fill} outside [0,1]")
-    if offset.dx == 0 and offset.dy == 0:
-        return frame
-    return frame.with_channels({"L": shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)})
-
-
 # ---------------------------------------------------------------------------
 # Patch extraction and variance filtering
 # ---------------------------------------------------------------------------
@@ -207,6 +193,8 @@ def apply_offset(frame: Frame, offset: OffsetClass, fill: float = DEFAULT_FILL) 
 
 def patch_grid_shape(height: int, width: int, p: int, s: int) -> tuple[int, int]:
     """(rows, cols) of the patch grid for size p and stride s."""
+    if p < 1:
+        raise ValueError(f"patch size must be >= 1, got {p}")
     if p > height or p > width:
         raise ValueError(f"patch size {p} exceeds frame dims {width}x{height}")
     if s < 1:
@@ -233,9 +221,29 @@ def extract_patches(frame: Frame, p: int, s: int,
             for i in range(rows) for j in range(cols)]
 
 
-def variance_keep(l_patch: np.ndarray, tau: float) -> bool:
-    """Keep a patch iff the population variance of its depth values >= tau."""
-    return bool(np.var(l_patch) >= tau)
+def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
+               fill: float, channels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The patch grid of one frame under one depth offset.
+
+    Only the L plane is translated by the offset, vacated pixels getting
+    fill; the other planes stay put. Returns the (rows, cols, p, p, C)
+    window view over the stacked channels and the (rows, cols) mask of
+    windows whose shifted depth has population variance >= tau.
+    """
+    patch_grid_shape(frame.height, frame.width, p, s)
+    if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
+        raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
+                         f"{frame.width}x{frame.height}")
+    if not 0.0 <= fill <= 1.0:  # NaN fails this too
+        raise ValueError(f"fill value {fill} outside [0,1]")
+    if not tau >= 0:
+        raise ValueError(f"variance threshold must be >= 0, got {tau}")
+    shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
+    stacked = np.empty((frame.height, frame.width, len(channels)), dtype=np.float32)
+    for col, name in enumerate(channels):
+        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
+    keep = _window_view(shifted[:, :, None], p, s)[..., 0].var(axis=(2, 3)) >= tau
+    return _window_view(stacked, p, s), keep
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +316,10 @@ def iter_patch_samples(frames: Iterable[Frame], offsets: list[OffsetClass], p: i
                        channels: list[str] | None = None,
                        workers: int = 1) -> Iterator[PatchSample]:
     """Stream PatchSamples: frames in index order, offset classes in table
-    order, patch origins row-major; the depth plane is shifted per offset
-    before extraction and low-variance depth patches are dropped.
+    order, patch origins row-major; each (frame, offset) pair is one
+    patch_grid, whose kept windows are copied once into one array that the
+    pair's samples view row by row.
     """
-    if tau < 0:
-        raise ValueError(f"variance threshold must be >= 0, got {tau}")
     if not offsets:
         raise ValueError("offset table is empty")
     if channels is not None and not channels:
@@ -321,32 +328,13 @@ def iter_patch_samples(frames: Iterable[Frame], offsets: list[OffsetClass], p: i
     def frame_samples(item):
         frame_index, frame = item
         sel = channels if channels is not None else frame.channel_names
-        static = frame.stack([c for c in sel if c != "L"])
-        static_cols = [i for i, c in enumerate(sel) if c != "L"]
-        l_col = sel.index("L") if "L" in sel else None
-        l_plane = frame.plane("L")
         out = []
         for offset in offsets:
-            if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
-                raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
-                                 f"{frame.width}x{frame.height}")
-            shifted = shift_plane(l_plane, offset.dx, offset.dy, fill)
-            stacked = np.empty((frame.height, frame.width, len(sel)), dtype=np.float32)
-            for col, ci in zip(static_cols, range(static.shape[-1])):
-                stacked[:, :, col] = static[:, :, ci]
-            if l_col is not None:
-                stacked[:, :, l_col] = shifted
-            windows = _window_view(stacked, p, s)
-            l_windows = _window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
-            keep = l_windows.var(axis=(2, 3)) >= tau
-            rows, cols = keep.shape
-            for i in range(rows):
-                for j in range(cols):
-                    if keep[i, j]:
-                        out.append(PatchSample(data=np.ascontiguousarray(windows[i, j]),
-                                               label=offset.id,
-                                               frame_index=frame_index,
-                                               origin=(i * s, j * s)))
+            windows, keep = patch_grid(frame, offset, p, s, tau, fill, sel)
+            rows, cols = np.nonzero(keep)
+            out.extend(PatchSample(data=data, label=offset.id, frame_index=frame_index,
+                                   origin=(i * s, j * s))
+                       for data, i, j in zip(windows[keep], rows.tolist(), cols.tolist()))
         return out
 
     def generate():
@@ -369,8 +357,6 @@ def build_dataset(frames: list[Frame], offsets: list[OffsetClass], p: int, s: in
     if not frames:
         raise ValueError("no frames to build a dataset from")
     sel = channels if channels is not None else frames[0].channel_names
-    # validate patch geometry up front so empty output means "filtered out"
-    patch_grid_shape(frames[0].height, frames[0].width, p, s)
     samples = list(iter_patch_samples(frames, offsets, p, s, tau, fill, sel, workers))
     if not samples:
         raise ValueError(f"variance filter (tau={tau}) dropped every patch; lower tau")
@@ -385,7 +371,7 @@ def collect_arrays(samples: list[PatchSample]) -> tuple[np.ndarray, np.ndarray]:
     """Stack samples into (X, labels) arrays for training."""
     if not samples:
         raise ValueError("no samples to collect")
-    x = np.stack([s.data for s in samples]).astype(np.float32)
+    x = np.stack([s.data for s in samples]).astype(np.float32, copy=False)
     y = np.array([s.label for s in samples], dtype=np.int64)
     return x, y
 
@@ -441,8 +427,9 @@ def read_manifest(path) -> DatasetManifest:
             dx, dy = pairs[f"offset_{i}"].split(",")
             offsets.append(OffsetClass(id=i, dx=int(dx), dy=int(dy)))
         frame_count = int(pairs["frame_count"])
-        frame_files = [pairs[f"frame_{i}"] for i in range(frame_count)
-                       if f"frame_{i}" in pairs]
+        # a forged frame_count costs no more than the entries the file holds
+        frame_files = ([pairs[f"frame_{i}"] for i in range(frame_count)]
+                       if "frame_0" in pairs else [])
         return DatasetManifest(
             patch_size=int(pairs["patch_size"]),
             stride=int(pairs["stride"]),

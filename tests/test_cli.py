@@ -1,3 +1,5 @@
+import re
+import shutil
 import struct
 import threading
 
@@ -6,7 +8,7 @@ import pytest
 
 from mmreg import cli, model
 from mmreg.cli import main, parse_channels
-from mmreg.pipeline import read_frame, read_manifest
+from mmreg.pipeline import Frame, read_frame, read_manifest, write_frame
 
 
 def run(*args):
@@ -125,6 +127,7 @@ class TestFlowWorkers:
         assert run("flow", "--in-dir", src, "--out", tmp_path / "dst") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "frame_00002.mmf" in err
         assert threading.active_count() == threads_before
 
 
@@ -177,6 +180,23 @@ class TestDataset:
         assert (args.p, args.s, args.classes) == (32, 32, 9)
         assert (args.major, args.minor, args.rot) == (32, 16, 45)
 
+    @pytest.mark.parametrize("damage", ["other_size", "other_channels"])
+    def test_mismatched_frame_names_file(self, small_corpus, tmp_path, capsys, damage):
+        src = tmp_path / "flowed"
+        shutil.copytree(small_corpus / "flowed", src)
+        frame = read_frame(src / "frame_00000.mmf")
+        if damage == "other_size":
+            frame = Frame({n: frame.plane(n)[:, :48] for n in frame.channel_names})
+        else:
+            frame = Frame({n: frame.plane(n) for n in frame.channel_names if n != "U"})
+        write_frame(frame, src / "frame_00001.mmf")
+        capsys.readouterr()
+        assert run("dataset", "--in-dir", src, "--out", tmp_path / "d", "--p", 16,
+                   "--s", 16, "--classes", 3, "--major", 8, "--minor", 4) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "frame_00001.mmf" in err, err
+        assert not (tmp_path / "d" / "manifest.txt").exists()
+
     def test_tau_filter_failure_message(self, tmp_path, capsys):
         # constant frames: everything filtered at positive tau
         src = tmp_path / "flat"
@@ -186,6 +206,65 @@ class TestDataset:
                    "--major", 8, "--minor", 4)
         assert code == 1
         assert "lower tau" in capsys.readouterr().err
+
+
+def edited_manifest(corpus, dest, edits):
+    """The corpus manifest with some keys rewritten, saved under dest."""
+    lines = []
+    for line in (corpus / "ds" / "manifest.txt").read_text().splitlines():
+        key, value = line.split("=", 1)
+        lines.append(f"{key}={edits[key](value) if key in edits else value}")
+    dest.mkdir(parents=True, exist_ok=True)
+    (dest / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return dest / "manifest.txt"
+
+
+GRID_CASES = {
+    "eval-offset+1000": ("eval", {"offset_1": lambda v: "1000,0"}, (), "exceeds frame dims"),
+    "eval-offset-1000": ("eval", {"offset_2": lambda v: "0,-1000"}, (), "exceeds frame dims"),
+    "dataset-fill-5": ("dataset", {}, ("--fill", 5), r"fill value 5\.0 outside \[0,1\]"),
+    "dataset-fill-nan": ("dataset", {}, ("--fill", "nan"), r"fill value nan outside \[0,1\]"),
+    "dataset-tau-nan": ("dataset", {}, ("--tau", "nan"), "variance threshold must be >= 0"),
+    "dataset-s-16": ("dataset", {}, ("--s", -16), "stride must be >= 1, got -16"),
+    "dataset-s0": ("dataset", {}, ("--s", 0), "stride must be >= 1, got 0"),
+    "dataset-p0": ("dataset", {}, ("--p", 0), "patch size must be >= 1, got 0"),
+    "train-tau-raised": ("train", {"tau": lambda v: "0.0375"}, (),
+                         r"reproduce \d+ patches, not its patch_count 240"),
+    "train-count-1": ("train", {"patch_count": lambda v: int(v) - 1}, (),
+                      "reproduce 240 patches, not its patch_count 239"),
+    "train-count-huge": ("train", {"patch_count": lambda v: 10**15}, (),
+                         r"patch_count 1000000000000000 outside \[1, 240\]"),
+}
+
+
+class TestGridChecks:
+    """patch_grid's checks reach every subcommand as one error line."""
+
+    @pytest.mark.parametrize("case", list(GRID_CASES))
+    def test_rejected_with_one_error_line(self, small_corpus, tmp_path, capsys, case):
+        command, edits, flags, match = GRID_CASES[case]
+        flowed = small_corpus / "flowed"
+        manifest = edited_manifest(small_corpus, tmp_path / "ds", edits)
+        if command == "eval":
+            ckpt = tmp_path / "init"
+            assert run("train", "--dataset", small_corpus / "ds" / "manifest.txt",
+                       "--out", ckpt, "--channels", "Gr,L", "--filters", "2,2,2",
+                       "--kernel", 3, "--epochs", 0) == 0
+            argv = ("eval", "--checkpoint", ckpt / "checkpoint.mmrc", "--dataset", manifest,
+                    "--frames", flowed, "--k-list", 1)
+        elif command == "train":
+            argv = ("train", "--dataset", manifest, "--frames", flowed, "--channels", "Gr,L",
+                    "--filters", "2,2,2", "--kernel", 3, "--epochs", 1)
+        else:
+            argv = ("dataset", "--in-dir", flowed, "--p", 16, "--s", 16, "--tau", 0,
+                    "--classes", 5, "--major", 8, "--minor", 4, *flags)
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert re.search(match, err), err
+        assert not (tmp_path / "out").exists() or command == "dataset"
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 class TestTrainEval:

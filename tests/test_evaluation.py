@@ -95,14 +95,14 @@ class TestEvaluateRun:
             probs[:, truth["current"]] = 1.0
             return ids, probs
 
-        real = evaluation._frame_patches
+        real = evaluation.patch_grid
 
-        def tracking(frame, offset, channels, p, s, tau, fill):
+        def tracking(frame, offset, p, s, tau, fill, channels):
             truth["current"] = offset.id
-            return real(frame, offset, channels, p, s, tau, fill)
+            return real(frame, offset, p, s, tau, fill, channels)
 
         monkeypatch.setattr(evaluation, "predict_batch", perfect)
-        monkeypatch.setattr(evaluation, "_frame_patches", tracking)
+        monkeypatch.setattr(evaluation, "patch_grid", tracking)
         report = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
         assert mean_diagonal_accuracy(report.patch_cm) == pytest.approx(100.0)
         assert mean_diagonal_accuracy(report.image_cm) == pytest.approx(100.0)

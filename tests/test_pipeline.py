@@ -5,14 +5,26 @@ import pytest
 
 from mmreg import pipeline
 from mmreg.offsets import OffsetClass, generate_offsets
-from mmreg.pipeline import (DatasetManifest, FormatError, Frame, apply_offset,
-                            build_dataset, extract_patches, iter_patch_samples,
-                            read_frame, read_manifest, rgb_to_gray, variance_keep,
-                            write_frame, write_manifest)
+from mmreg.pipeline import (DatasetManifest, FormatError, Frame, PatchSample,
+                            build_dataset, collect_arrays, extract_patches,
+                            iter_patch_samples, patch_grid, read_frame, read_manifest,
+                            rgb_to_gray, shift_plane, write_frame, write_manifest)
 
 
 def random_frame(rng, height=16, width=20, names=("R", "G", "B", "L")):
     return Frame({n: rng.random((height, width), dtype=np.float32) for n in names})
+
+
+def shifted_stack(frame, offset, fill=0.0):
+    """The whole (H, W, C) stack that patch_grid windows: its 1x1 grid at stride 1."""
+    windows, _ = patch_grid(frame, offset, 1, 1, 0.0, fill, frame.channel_names)
+    return windows[:, :, 0, 0]
+
+
+def depth_keep(l_plane, tau):
+    """patch_grid's keep mask for one window covering the whole depth plane."""
+    frame = Frame({"L": l_plane})
+    return patch_grid(frame, OffsetClass(0, 0, 0), l_plane.shape[0], 1, tau, 0.0, ["L"])[1]
 
 
 class TestFrame:
@@ -135,27 +147,31 @@ class TestRgbToGray:
 
 
 class TestApplyOffset:
+    """The depth shift of patch_grid: only L moves, vacated pixels get fill."""
+
     def test_zero_offset_unchanged(self):
         rng = np.random.default_rng(6)
         frame = random_frame(rng)
-        out = apply_offset(frame, OffsetClass(0, 0, 0))
-        np.testing.assert_array_equal(out.plane("L"), frame.plane("L"))
+        out = shifted_stack(frame, OffsetClass(0, 0, 0))
+        np.testing.assert_array_equal(out, frame.stack())
 
     def test_hot_pixel_moves(self):
         l_plane = np.zeros((4, 4), dtype=np.float32)
         l_plane[1, 1] = 1.0
         frame = Frame({"L": l_plane})
-        out = apply_offset(frame, OffsetClass(1, 2, 0), fill=0.0)
-        assert out.plane("L")[1, 3] == 1.0
-        assert out.plane("L").sum() == 1.0
+        out = shifted_stack(frame, OffsetClass(1, 2, 0), fill=0.0)[:, :, 0]
+        assert out[1, 3] == 1.0
+        assert out.sum() == 1.0
 
     def test_only_l_moves(self):
         rng = np.random.default_rng(7)
         frame = random_frame(rng)
-        out = apply_offset(frame, OffsetClass(1, 3, -2))
-        for name in ("R", "G", "B"):
-            np.testing.assert_array_equal(out.plane(name), frame.plane(name))
-        assert not np.array_equal(out.plane("L"), frame.plane("L"))
+        out = shifted_stack(frame, OffsetClass(1, 3, -2))
+        for col, name in enumerate(frame.channel_names):
+            if name != "L":
+                np.testing.assert_array_equal(out[:, :, col], frame.plane(name))
+        assert not np.array_equal(out[:, :, frame.channel_names.index("L")],
+                                  frame.plane("L"))
 
     def test_vacated_pixel_count(self):
         rng = np.random.default_rng(8)
@@ -163,24 +179,25 @@ class TestApplyOffset:
         for dx, dy in [(2, 0), (0, 3), (-2, 1), (3, -2), (-1, -1)]:
             plane = (rng.random((h, w)) * 0.8 + 0.1).astype(np.float32)  # no natural zeros
             frame = Frame({"L": plane})
-            out = apply_offset(frame, OffsetClass(1, dx, dy), fill=0.0)
-            vacated = int((out.plane("L") == 0.0).sum())
+            out = shifted_stack(frame, OffsetClass(1, dx, dy), fill=0.0)
+            vacated = int((out == 0.0).sum())
             assert vacated == abs(dx) * h + abs(dy) * (w - abs(dx))
 
     def test_round_trip_restores_interior(self):
         rng = np.random.default_rng(9)
         frame = random_frame(rng, height=12, width=12, names=("L",))
         dx, dy = 3, -2
-        there = apply_offset(frame, OffsetClass(1, dx, dy))
-        back = apply_offset(there, OffsetClass(2, -dx, -dy))
+        there = Frame({"L": shifted_stack(frame, OffsetClass(1, dx, dy))[:, :, 0]})
+        back = shifted_stack(there, OffsetClass(2, -dx, -dy))[:, :, 0]
         # pixels that never left: rows [2, 12), cols [0, 9)
-        np.testing.assert_array_equal(back.plane("L")[2:, :9], frame.plane("L")[2:, :9])
+        np.testing.assert_array_equal(back[2:, :9], frame.plane("L")[2:, :9])
 
     def test_offset_exceeding_dims_rejected(self):
         rng = np.random.default_rng(10)
         frame = random_frame(rng, height=4, width=4, names=("L",))
-        with pytest.raises(ValueError, match="exceeds"):
-            apply_offset(frame, OffsetClass(1, 4, 0))
+        for dx, dy in [(4, 0), (-4, 0), (0, 4), (0, -4)]:
+            with pytest.raises(ValueError, match="exceeds"):
+                patch_grid(frame, OffsetClass(1, dx, dy), 2, 1, 0.0, 0.0, ["L"])
 
 
 class TestExtractPatches:
@@ -228,16 +245,18 @@ class TestExtractPatches:
 
 
 class TestVarianceKeep:
+    """The keep mask of patch_grid: population variance of shifted depth >= tau."""
+
     def test_constant_dropped(self):
-        assert not variance_keep(np.full((8, 8), 0.7), tau=1e-9)
+        assert not depth_keep(np.full((8, 8), 0.7), tau=1e-9).any()
 
     def test_checkerboard_kept_at_default_tau(self):
         board = np.indices((8, 8)).sum(axis=0) % 2
         assert np.var(board) == pytest.approx(0.25)
-        assert variance_keep(board.astype(np.float32), tau=pipeline.DEFAULT_TAU)
+        assert depth_keep(board.astype(np.float32), tau=pipeline.DEFAULT_TAU).all()
 
     def test_tau_zero_keeps_everything(self):
-        assert variance_keep(np.zeros((4, 4)), tau=0.0)
+        assert depth_keep(np.zeros((4, 4)), tau=0.0).all()
 
 
 class TestBuildDataset:
@@ -304,6 +323,106 @@ class TestBuildDataset:
         np.testing.assert_array_equal(samples[0].data[:, :, 0], frame.plane("Gr")[:16, :16])
 
 
+def _old_window_view(stacked, p, s):
+    windows = np.lib.stride_tricks.sliding_window_view(stacked, (p, p), axis=(0, 1))
+    return windows[::s, ::s].transpose(0, 1, 3, 4, 2)
+
+
+def old_frame_samples(frame_index, frame, offsets, p, s, tau, fill, sel):
+    """The per-cell sample loop of iter_patch_samples before patch_grid,
+    kept as the reference that the grid must reproduce bit for bit."""
+    static = frame.stack([c for c in sel if c != "L"])
+    static_cols = [i for i, c in enumerate(sel) if c != "L"]
+    l_col = sel.index("L") if "L" in sel else None
+    l_plane = frame.plane("L")
+    out = []
+    for offset in offsets:
+        shifted = shift_plane(l_plane, offset.dx, offset.dy, fill)
+        stacked = np.empty((frame.height, frame.width, len(sel)), dtype=np.float32)
+        for col, ci in zip(static_cols, range(static.shape[-1])):
+            stacked[:, :, col] = static[:, :, ci]
+        if l_col is not None:
+            stacked[:, :, l_col] = shifted
+        windows = _old_window_view(stacked, p, s)
+        l_windows = _old_window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
+        keep = l_windows.var(axis=(2, 3)) >= tau
+        rows, cols = keep.shape
+        for i in range(rows):
+            for j in range(cols):
+                if keep[i, j]:
+                    out.append(PatchSample(data=np.ascontiguousarray(windows[i, j]),
+                                           label=offset.id, frame_index=frame_index,
+                                           origin=(i * s, j * s)))
+    return out
+
+
+def old_frame_patches(frame, offset, channels, p, s, tau, fill):
+    """evaluation's kept patches and keep mask before patch_grid."""
+    shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
+    sel = list(channels)
+    stacked = np.empty((frame.height, frame.width, len(sel)), dtype=np.float32)
+    for col, name in enumerate(sel):
+        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
+    windows = _old_window_view(stacked, p, s)
+    l_windows = _old_window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
+    keep = l_windows.var(axis=(2, 3)) >= tau
+    return np.ascontiguousarray(windows[keep]), keep
+
+
+class TestPatchGridOracle:
+    H, W = 18, 23
+
+    def frames(self):
+        rng = np.random.default_rng(21)
+        frames = []
+        for _ in range(2):
+            planes = {n: rng.random((self.H, self.W), dtype=np.float32)
+                      for n in ("R", "Gr", "L", "U", "V")}
+            planes["L"][4:15, 2:12] = 0.3  # flat depth, so tau drops some windows
+            frames.append(Frame(planes))
+        return frames
+
+    def offsets(self):
+        h, w = self.H - 1, self.W - 1
+        return [OffsetClass(i, dx, dy) for i, (dx, dy) in
+                enumerate([(0, 0), (3, -2), (w, 0), (0, -h), (-w, h), (-1, 5)])]
+
+    @pytest.mark.parametrize("sel", [["Gr", "L", "U", "V"], ["R", "U"], ["V", "L", "Gr"],
+                                     ["L", "R"]])
+    @pytest.mark.parametrize("fill", [0.0, 0.5])
+    @pytest.mark.parametrize("tau", [0.0, pipeline.DEFAULT_TAU])
+    @pytest.mark.parametrize("p,s", [(6, 4), (6, 6), (5, 8)])
+    def test_same_bytes_as_old_loops(self, sel, fill, tau, p, s):
+        frames, offsets = self.frames(), self.offsets()
+        new = list(iter_patch_samples(frames, offsets, p, s, tau, fill, sel, workers=2))
+        old = [sample for index, frame in enumerate(frames)
+               for sample in old_frame_samples(index, frame, offsets, p, s, tau, fill, sel)]
+        assert 0 < len(new) == len(old)
+        assert [(a.label, a.frame_index, a.origin) for a in new] == \
+               [(b.label, b.frame_index, b.origin) for b in old]
+        assert b"".join(a.data.tobytes() for a in new) == \
+               b"".join(b.data.tobytes() for b in old)
+        new_x, new_y = collect_arrays(new)
+        old_x, old_y = collect_arrays(old)
+        assert new_x.tobytes() == old_x.tobytes() and new_y.tobytes() == old_y.tobytes()
+        for frame in frames:
+            for offset in offsets:
+                windows, keep = patch_grid(frame, offset, p, s, tau, fill, sel)
+                old_kept, old_keep = old_frame_patches(frame, offset, sel, p, s, tau, fill)
+                assert keep.tobytes() == old_keep.tobytes()
+                assert windows[keep].tobytes() == old_kept.tobytes()
+
+    def test_depth_only_selection(self):
+        # the old sample loop could not stack an empty static set; eval's could
+        frame, offsets = self.frames()[0], self.offsets()
+        for offset in offsets:
+            windows, keep = patch_grid(frame, offset, 6, 4, pipeline.DEFAULT_TAU, 0.5, ["L"])
+            old_kept, old_keep = old_frame_patches(frame, offset, ["L"], 6, 4,
+                                                   pipeline.DEFAULT_TAU, 0.5)
+            assert keep.tobytes() == old_keep.tobytes()
+            assert windows[keep].tobytes() == old_kept.tobytes()
+
+
 class TestBoundedMap:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_ordered_and_never_more_than_window_ahead(self, workers):
@@ -337,6 +456,19 @@ class TestManifestRoundTrip:
         path = tmp_path / "manifest.txt"
         write_manifest(manifest, path)
         assert read_manifest(path) == manifest
+
+    def test_forged_frame_count_reads_only_present_entries(self, tmp_path):
+        manifest = DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L"],
+            offsets=generate_offsets(3, 8, 4, 0.0), tau=0.0, fill=0.0, seed=0,
+            frame_count=10**12, patch_count=1)
+        path = tmp_path / "manifest.txt"
+        write_manifest(manifest, path)
+        assert read_manifest(path) == manifest  # no frame_0: the directory lists frames
+        manifest.frame_files = ["a.mmf", "b.mmf"]
+        write_manifest(manifest, path)
+        with pytest.raises(FormatError, match="missing manifest key 'frame_2'"):
+            read_manifest(path)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "broken.txt"
