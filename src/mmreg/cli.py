@@ -14,7 +14,7 @@ import sys
 from contextlib import closing
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -307,7 +307,7 @@ def cmd_eval(args) -> int:
 
     report = evaluation.evaluate_run(net, frames, manifest.offsets, k_values,
                                      stride=manifest.stride, tau=manifest.tau,
-                                     fill=manifest.fill)
+                                     fill=manifest.fill, workers=worker_count())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     evaluation.emit_report(report, out)
@@ -327,98 +327,107 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+class Subcommand(NamedTuple):
+    """A subcommand's parser and the type of each flag a --config file may set."""
+
+    parser: argparse.ArgumentParser
+    types: dict[str, Callable | None]
+
+    def add(self, *flags, **kwargs) -> None:
+        action = self.parser.add_argument(*flags, **kwargs)
+        self.types[action.dest] = action.type
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Subcommand]]:
     parser = argparse.ArgumentParser(
         prog="mmreg",
         description="Detect depth/video misalignment with a patch-vote CNN classifier.")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
+    registry: dict[str, Subcommand] = {}
 
-    def sub(name, func, help_text):
+    def sub(name, func, help_text) -> Subcommand:
         p = subs.add_parser(name, help=help_text,
                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", default=None,
                        help="key=value file; CLI flags override its entries")
         p.set_defaults(func=func)
-        registry[name] = p
-        return p
+        registry[name] = Subcommand(p, {})
+        return registry[name]
 
     p = sub("synth", cmd_synth, "generate a synthetic multi-modal frame sequence")
-    p.add_argument("--out", required=True, help="output directory for MMF frames")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=10, help="frame count (>= 2 allows flow)")
-    p.add_argument("--width", type=int, default=pipeline.DEFAULT_WIDTH)
-    p.add_argument("--height", type=int, default=pipeline.DEFAULT_HEIGHT)
-    p.add_argument("--objects", type=int, default=40)
-    p.add_argument("--kinds", default="rectangle,ellipse")
-    p.add_argument("--depth-min", type=float, default=0.15)
-    p.add_argument("--depth-max", type=float, default=0.8)
-    p.add_argument("--translate", default="1,0", help="camera translation px/frame as dx,dy")
-    p.add_argument("--jitter", type=float, default=1.0, help="per-object drift amplitude px/frame")
-    p.add_argument("--noise", type=float, default=0.02, help="additive noise amplitude")
+    p.add("--out", required=True, help="output directory for MMF frames")
+    p.add("--seed", type=int, default=0)
+    p.add("--frames", type=int, default=10, help="frame count (>= 2 allows flow)")
+    p.add("--width", type=int, default=pipeline.DEFAULT_WIDTH)
+    p.add("--height", type=int, default=pipeline.DEFAULT_HEIGHT)
+    p.add("--objects", type=int, default=40)
+    p.add("--kinds", default="rectangle,ellipse")
+    p.add("--depth-min", type=float, default=0.15)
+    p.add("--depth-max", type=float, default=0.8)
+    p.add("--translate", default="1,0", help="camera translation px/frame as dx,dy")
+    p.add("--jitter", type=float, default=1.0, help="per-object drift amplitude px/frame")
+    p.add("--noise", type=float, default=0.02, help="additive noise amplitude")
 
     p = sub("flow", cmd_flow, "add optical-flow channels U,V to a frame directory")
-    p.add_argument("--in-dir", required=True, help="directory of MMF frames")
-    p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=flow_mod.DEFAULT_ALPHA,
-                   help="smoothness weight")
-    p.add_argument("--iters", type=int, default=flow_mod.DEFAULT_ITERATIONS)
-    p.add_argument("--clamp", type=float, default=flow_mod.DEFAULT_CLAMP,
-                   help="flow magnitude mapped to the [0,1] channel range")
+    p.add("--in-dir", required=True, help="directory of MMF frames")
+    p.add("--out", required=True)
+    p.add("--alpha", type=float, default=flow_mod.DEFAULT_ALPHA,
+          help="smoothness weight")
+    p.add("--iters", type=int, default=flow_mod.DEFAULT_ITERATIONS)
+    p.add("--clamp", type=float, default=flow_mod.DEFAULT_CLAMP,
+          help="flow magnitude mapped to the [0,1] channel range")
 
     p = sub("dataset", cmd_dataset, "build a labeled patch dataset manifest")
-    p.add_argument("--in-dir", required=True, help="directory of flow-augmented MMF frames")
-    p.add_argument("--out", required=True)
-    p.add_argument("--p", type=int, default=32, help="patch size")
-    p.add_argument("--s", type=int, default=32, help="patch stride")
-    p.add_argument("--tau", type=float, default=pipeline.DEFAULT_TAU,
-                   help="depth-variance keep threshold (0 keeps everything)")
-    p.add_argument("--classes", type=int, default=9, help="offset class count")
-    p.add_argument("--major", type=float, default=32, help="ellipse major axis px")
-    p.add_argument("--minor", type=float, default=16, help="ellipse minor axis px")
-    p.add_argument("--rot", type=float, default=45, help="clockwise ellipse rotation deg")
-    p.add_argument("--fill", type=float, default=pipeline.DEFAULT_FILL,
-                   help="value written into vacated depth pixels")
-    p.add_argument("--split", default="all", help="split name recorded in the manifest")
-    p.add_argument("--seed", type=int, default=0,
-                   help="generator seed recorded for provenance")
+    p.add("--in-dir", required=True, help="directory of flow-augmented MMF frames")
+    p.add("--out", required=True)
+    p.add("--p", type=int, default=32, help="patch size")
+    p.add("--s", type=int, default=32, help="patch stride")
+    p.add("--tau", type=float, default=pipeline.DEFAULT_TAU,
+          help="depth-variance keep threshold (0 keeps everything)")
+    p.add("--classes", type=int, default=9, help="offset class count")
+    p.add("--major", type=float, default=32, help="ellipse major axis px")
+    p.add("--minor", type=float, default=16, help="ellipse minor axis px")
+    p.add("--rot", type=float, default=45, help="clockwise ellipse rotation deg")
+    p.add("--fill", type=float, default=pipeline.DEFAULT_FILL,
+          help="value written into vacated depth pixels")
+    p.add("--split", default="all", help="split name recorded in the manifest")
+    p.add("--seed", type=int, default=0,
+          help="generator seed recorded for provenance")
 
     p = sub("train", cmd_train, "train a misalignment classifier on a dataset")
-    p.add_argument("--dataset", required=True, help="dataset manifest path")
-    p.add_argument("--frames", default=None,
-                   help="frames directory (default: the manifest's recorded location)")
-    p.add_argument("--channels", default="GrLUV",
-                   help="channel stack, e.g. GrLUV, RGBL, RGBLUV or Gr,L,U,V")
-    p.add_argument("--filters", default="32,32,64", help="conv filter counts")
-    p.add_argument("--kernel", type=int, default=5, help="conv kernel size (5, 7 or 9)")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add("--dataset", required=True, help="dataset manifest path")
+    p.add("--frames", default=None,
+          help="frames directory (default: the manifest's recorded location)")
+    p.add("--channels", default="GrLUV",
+          help="channel stack, e.g. GrLUV, RGBL, RGBLUV or Gr,L,U,V")
+    p.add("--filters", default="32,32,64", help="conv filter counts")
+    p.add("--kernel", type=int, default=5, help="conv kernel size (5, 7 or 9)")
+    p.add("--lr", type=float, default=0.01)
+    p.add("--momentum", type=float, default=0.9)
+    p.add("--epochs", type=int, default=30)
+    p.add("--batch", type=int, default=100)
+    p.add("--seed", type=int, default=0)
+    p.add("--out", required=True)
 
     p = sub("eval", cmd_eval, "evaluate a checkpoint and emit report files")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True,
-                   help="manifest describing the evaluation frames and offsets")
-    p.add_argument("--frames", default=None,
-                   help="frames directory (default: the manifest's recorded location)")
-    p.add_argument("--k-list", default="1,2,3,4", help="temporal window sizes")
-    p.add_argument("--out", required=True)
+    p.add("--checkpoint", required=True)
+    p.add("--dataset", required=True,
+          help="manifest describing the evaluation frames and offsets")
+    p.add("--frames", default=None,
+          help="frames directory (default: the manifest's recorded location)")
+    p.add("--k-list", default="1,2,3,4", help="temporal window sizes")
+    p.add("--out", required=True)
 
     return parser, registry
 
 
-def _typed_config_defaults(sub: argparse.ArgumentParser, pairs: dict[str, str],
-                           source: str) -> dict:
-    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config", "func")}
+def _typed_config_defaults(sub: Subcommand, pairs: dict[str, str], source: str) -> dict:
     defaults = {}
     for key, raw in pairs.items():
-        if key not in actions:
+        if key not in sub.types:
             raise ValueError(f"{source}: unknown config key {key!r}")
-        action = actions[key]
-        defaults[key] = action.type(raw) if action.type else raw
+        kind = sub.types[key]
+        defaults[key] = kind(raw) if kind else raw
     return defaults
 
 
@@ -430,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "config", None):
             pairs = pipeline.parse_key_values(Path(args.config).read_text(),
                                               source=args.config)
-            registry[args.command].set_defaults(
+            registry[args.command].parser.set_defaults(
                 **_typed_config_defaults(registry[args.command], pairs, args.config))
             args = parser.parse_args(argv)
         return args.func(args)

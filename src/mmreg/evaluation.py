@@ -9,6 +9,7 @@ alongside it in the summary.
 from __future__ import annotations
 
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .model import Network, VoteHistogram, predict_batch, require_channels, temporal_fuse, vote_frame
 from .offsets import OffsetClass
-from .pipeline import Frame, patch_grid
+from .pipeline import Frame, bounded_map, patch_grid
 
 # 9 maximally distinct class colors (rgb), indexed by class id modulo 9;
 # cells dropped by the variance filter render dark gray.
@@ -114,9 +115,12 @@ class EvalReport:
 
 def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[OffsetClass],
                  k_values: Sequence[int], stride: int, tau: float,
-                 fill: float = 0.0) -> EvalReport:
+                 fill: float = 0.0, workers: int = 1) -> EvalReport:
     """Classify every surviving patch of every frame under every offset,
     vote per frame, and fuse votes over windows of consecutive frames.
+
+    The (offset, frame) pairs are classified on up to ``workers`` threads;
+    the report does not depend on the worker count.
 
     Every frame is assumed to hold its true offset for the whole window
     when fusing temporally. Frames whose patches are all filtered out
@@ -144,19 +148,22 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
     no_decision = 0
     grid_shape = None
 
-    for offset in offsets:
-        for frame_index, frame in enumerate(frames):
-            windows, keep = patch_grid(frame, offset, p, stride, tau, fill,
-                                       net.config.channels)
-            kept = windows[keep]
+    def classify(pair):
+        offset, frame_index = pair
+        windows, keep = patch_grid(frames[frame_index], offset, p, stride, tau, fill,
+                                   net.config.channels)
+        kept = windows[keep]
+        ids = predict_batch(net, kept)[0] if kept.shape[0] else np.empty(0, dtype=np.int64)
+        return keep, ids
+
+    # (offset, frame) pairs are independent; results come back in pair
+    # order, and closing joins the pool's threads when the loop raises
+    pairs = [(offset, i) for offset in offsets for i in range(len(frames))]
+    with closing(bounded_map(classify, pairs, workers)) as results:
+        for (offset, frame_index), (keep, ids) in zip(pairs, results):
             grid_shape = keep.shape
-            if kept.shape[0]:
-                ids, _ = predict_batch(net, kept)
-            else:
-                ids = np.empty(0, dtype=np.int64)
-            for predicted in ids:
-                patch_cm.accumulate(offset.id, int(predicted))
             frame_class, hist = vote_frame(ids, n_classes)
+            patch_cm.counts[offset.id] += hist.counts  # the frame's per-class patch votes
             histograms[offset.id].append(hist)
             if frame_class is None:
                 no_decision += 1

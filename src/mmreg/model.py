@@ -20,6 +20,10 @@ from .pipeline import CHANNEL_IDS, FormatError, parse_key_values
 
 CHECKPOINT_MAGIC = b"MMRC"
 CHECKPOINT_VERSION = 1
+# patches per conv-stage block in predict_batch: blocks of 8 and 16 ran a
+# 72-patch batch about equally fast, 32 and one whole-batch block slower;
+# 8 holds the least memory
+CONV_BLOCK = 8
 
 
 @dataclass
@@ -124,18 +128,27 @@ def build_model(config: ModelConfig) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _forward(net: Network, x: np.ndarray, keep_cache: bool):
-    """Run the conv stages and dense layer; x is (B, p, p, C)."""
-    caches = []
+def _conv_stages(net: Network, x: np.ndarray, caches: list | None = None) -> np.ndarray:
+    """Pooled output of the conv -> relu -> pool stages for x (B, p, p, C).
+
+    With a caches list, each stage appends (input, im2col rows, conv
+    output, pool winner indices) for the backward pass.
+    """
     a = x
     for layer in net.conv_layers:
-        cols_box: list = []
-        z = nn.conv2d_forward(a, layer, _cols_out=cols_box if keep_cache else None)
-        r = nn.relu(z)
-        pooled, idx = nn.maxpool2x2_forward(r)
-        if keep_cache:
+        cols_box = [] if caches is not None else None
+        z = nn.conv2d_forward(a, layer, _cols_out=cols_box)
+        pooled, idx = nn.maxpool2x2_forward(nn.relu(z))
+        if caches is not None:
             caches.append((a, cols_box[0], z, idx))
         a = pooled
+    return a
+
+
+def _forward(net: Network, x: np.ndarray, keep_cache: bool):
+    """Run the conv stages and dense layer; x is (B, p, p, C)."""
+    caches = [] if keep_cache else None
+    a = _conv_stages(net, x, caches)
     flat = a.reshape(a.shape[0], -1)
     logits = flat @ net.dense_weights.T
     return logits, flat, a.shape, caches
@@ -146,16 +159,10 @@ def forward_shapes(net: Network) -> list[tuple[int, ...]]:
     cfg = net.config
     x = np.zeros((1, cfg.patch_size, cfg.patch_size, len(cfg.channels)),
                  dtype=net.dense_weights.dtype)
-    shapes = [x.shape[1:]]
-    a = x
-    for layer in net.conv_layers:
-        z = nn.conv2d_forward(a, layer)
-        shapes.append(z.shape[1:])
-        a, _ = nn.maxpool2x2_forward(nn.relu(z))
-        shapes.append(a.shape[1:])
-    logits = a.reshape(1, -1) @ net.dense_weights.T
-    shapes.append(logits.shape[1:])
-    return shapes
+    logits, _, _, caches = _forward(net, x, keep_cache=True)
+    # pool winner indices have the pooled shape
+    stages = [shape[1:] for _, _, z, idx in caches for shape in (z.shape, idx.shape)]
+    return [x.shape[1:], *stages, logits.shape[1:]]
 
 
 def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
@@ -237,15 +244,22 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
 def predict_batch(net: Network, patches: np.ndarray,
                   chunk_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """Class ids and probabilities for (n, p, p, C) patches; ties go to the
-    lowest class id."""
+    lowest class id.
+
+    The conv stages run on CONV_BLOCK patches at a time, which keeps their
+    im2col rows small; each output row of a conv GEMM has the same bits
+    whatever the block size. The dense layer runs on whole chunks of up to
+    chunk_size patches, because its bits depend on the row count.
+    """
     if patches.ndim != 4:
         raise ValueError(f"expected (n, p, p, C) patches, got shape {patches.shape}")
     ids = np.empty(patches.shape[0], dtype=np.int64)
     probs = np.empty((patches.shape[0], net.config.n_classes), dtype=np.float64)
     for start in range(0, patches.shape[0], chunk_size):
         chunk = patches[start:start + chunk_size]
-        logits, _, _, _ = _forward(net, chunk, keep_cache=False)
-        p = nn.softmax(logits)
+        pooled = np.concatenate([_conv_stages(net, chunk[i:i + CONV_BLOCK])
+                                 for i in range(0, chunk.shape[0], CONV_BLOCK)])
+        p = nn.softmax(pooled.reshape(chunk.shape[0], -1) @ net.dense_weights.T)
         ids[start:start + chunk.shape[0]] = p.argmax(axis=1)
         probs[start:start + chunk.shape[0]] = p
     return ids, probs
@@ -374,11 +388,17 @@ def load_checkpoint(path) -> Network:
                           f"(config needs {4 * weight_count} bytes, have {len(data) - offset})")
 
     net = build_model(config)
-    for param in net.parameters():
-        nbytes = param.size * 4
+    names = [f"conv{i}.{part}" for i in range(len(net.conv_layers))
+             for part in ("kernels", "biases")] + ["dense_weights"]
+    for name, param in zip(names, net.parameters()):
         values = np.frombuffer(data, dtype="<f4", count=param.size, offset=offset)
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise FormatError(f"{path}: non-finite weight {values[i]} in {name} "
+                              f"at byte offset {offset + 4 * i}")
         param[...] = values.reshape(param.shape)
-        offset += nbytes
+        offset += param.size * 4
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes at byte offset {offset}")
     return net

@@ -191,14 +191,28 @@ def shift_plane(plane: np.ndarray, dx: int, dy: int, fill: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def patch_grid_shape(height: int, width: int, p: int, s: int) -> tuple[int, int]:
-    """(rows, cols) of the patch grid for size p and stride s."""
+def _check_size_stride(p: int, s: int) -> None:
     if p < 1:
         raise ValueError(f"patch size must be >= 1, got {p}")
-    if p > height or p > width:
-        raise ValueError(f"patch size {p} exceeds frame dims {width}x{height}")
     if s < 1:
         raise ValueError(f"stride must be >= 1, got {s}")
+
+
+def check_grid_params(p: int, s: int, tau: float, fill: float) -> None:
+    """The patch grid's checks that need no frame: patch size and stride
+    >= 1, fill in [0,1] and tau >= 0 (NaN fails both value checks)."""
+    _check_size_stride(p, s)
+    if not 0.0 <= fill <= 1.0:
+        raise ValueError(f"fill value {fill} outside [0,1]")
+    if not tau >= 0:
+        raise ValueError(f"variance threshold must be >= 0, got {tau}")
+
+
+def patch_grid_shape(height: int, width: int, p: int, s: int) -> tuple[int, int]:
+    """(rows, cols) of the patch grid for size p and stride s."""
+    _check_size_stride(p, s)
+    if p > height or p > width:
+        raise ValueError(f"patch size {p} exceeds frame dims {width}x{height}")
     return (height - p) // s + 1, (width - p) // s + 1
 
 
@@ -230,14 +244,11 @@ def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
     window view over the stacked channels and the (rows, cols) mask of
     windows whose shifted depth has population variance >= tau.
     """
+    check_grid_params(p, s, tau, fill)
     patch_grid_shape(frame.height, frame.width, p, s)
     if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
         raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
                          f"{frame.width}x{frame.height}")
-    if not 0.0 <= fill <= 1.0:  # NaN fails this too
-        raise ValueError(f"fill value {fill} outside [0,1]")
-    if not tau >= 0:
-        raise ValueError(f"variance threshold must be >= 0, got {tau}")
     shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
     stacked = np.empty((frame.height, frame.width, len(channels)), dtype=np.float32)
     for col, name in enumerate(channels):
@@ -430,13 +441,16 @@ def read_manifest(path) -> DatasetManifest:
         # a forged frame_count costs no more than the entries the file holds
         frame_files = ([pairs[f"frame_{i}"] for i in range(frame_count)]
                        if "frame_0" in pairs else [])
+        patch_size, stride = int(pairs["patch_size"]), int(pairs["stride"])
+        tau, fill = float(pairs["tau"]), float(pairs["fill"])
+        check_grid_params(patch_size, stride, tau, fill)
         return DatasetManifest(
-            patch_size=int(pairs["patch_size"]),
-            stride=int(pairs["stride"]),
+            patch_size=patch_size,
+            stride=stride,
             channels=pairs["channels"].split(","),
             offsets=offsets,
-            tau=float(pairs["tau"]),
-            fill=float(pairs["fill"]),
+            tau=tau,
+            fill=fill,
             seed=int(pairs["seed"]),
             split=pairs["split"],
             frames_dir=pairs.get("frames_dir", "."),

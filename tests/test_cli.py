@@ -145,10 +145,15 @@ class TestThreadCountDeterminism:
             assert run("train", "--dataset", root / "ds" / "manifest.txt",
                        "--out", root / "run", "--channels", "GrLUV", "--filters", "2,2,2",
                        "--kernel", 3, "--epochs", 1, "--batch", 50, "--seed", 1) == 0
+            assert run("eval", "--checkpoint", root / "run" / "checkpoint.mmrc",
+                       "--dataset", root / "ds" / "manifest.txt", "--k-list", "1,2",
+                       "--out", root / "report") == 0
             trees.append({p.relative_to(root).as_posix(): p.read_bytes()
                           for p in sorted(root.rglob("*"))
                           if p.is_file() and p.name != "run_config.txt"})
-        assert len(trees[0]) == 5 + 5 + 1 + 2
+        # frames, flowed frames, manifest, checkpoint and loss, then the
+        # report: 2 confusion CSVs, temporal, summary, heatmap, 5 patch maps
+        assert len(trees[0]) == 5 + 5 + 1 + 2 + 10
         assert trees[1] == trees[0]
         assert trees[2] == trees[0]
 
@@ -234,6 +239,10 @@ GRID_CASES = {
                       "reproduce 240 patches, not its patch_count 239"),
     "train-count-huge": ("train", {"patch_count": lambda v: 10**15}, (),
                          r"patch_count 1000000000000000 outside \[1, 240\]"),
+    "train-manifest-fill-5": ("train", {"fill": lambda v: "5.0"}, (),
+                              r"ds/manifest\.txt: fill value 5\.0 outside \[0,1\]"),
+    "eval-manifest-tau-nan": ("eval", {"tau": lambda v: "nan"}, (),
+                              r"ds/manifest\.txt: variance threshold must be >= 0, got nan"),
 }
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,41 @@ class TestEvaluateRun:
         assert r1.patch_cm == r2.patch_cm
         assert r1.image_cm == r2.image_cm
         assert r1.temporal_accuracy == r2.temporal_accuracy
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_report_independent_of_workers(self, workers):
+        net, frames, offsets = make_eval_fixture()
+        r1 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
+        r2 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0,
+                          workers=workers)
+        assert r1.patch_cm == r2.patch_cm
+        assert r1.image_cm == r2.image_cm
+        assert r1.temporal_accuracy == r2.temporal_accuracy
+        assert r1.no_decision_frames == r2.no_decision_frames
+        assert r1.patch_maps.keys() == r2.patch_maps.keys()
+        for class_id, grid in r1.patch_maps.items():
+            assert grid.tobytes() == r2.patch_maps[class_id].tobytes()
+
+    def test_worker_exception_propagates_and_threads_exit(self, monkeypatch):
+        net, frames, offsets = make_eval_fixture()
+        real = evaluation.predict_batch
+        calls = []
+        lock = threading.Lock()
+
+        def failing(the_net, patches, chunk_size=512):
+            with lock:
+                calls.append(None)
+                n = len(calls)
+            if n == 5:
+                raise RuntimeError("classifier failed")
+            return real(the_net, patches, chunk_size)
+
+        monkeypatch.setattr(evaluation, "predict_batch", failing)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="classifier failed"):
+            evaluate_run(net, frames, offsets, k_values=[1], stride=32, tau=0.0, workers=2)
+        assert threading.active_count() == threads_before
+        assert len(calls) < len(frames) * len(offsets)  # the queue was cancelled
 
     def test_channel_mismatch_rejected(self):
         net, frames, offsets = make_eval_fixture()

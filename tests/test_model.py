@@ -179,7 +179,32 @@ class TestTrain:
             "478cd119ca6491a99e7c17af047673b3eeb7a0d2cc2668aab438a73859862593"
 
 
+def predict_batch_single_pass(net, patches, chunk_size=512):
+    """predict_batch as it was before the conv stages ran in blocks: every
+    stage on the whole chunk at once. The bit-identity reference."""
+    ids = np.empty(patches.shape[0], dtype=np.int64)
+    probs = np.empty((patches.shape[0], net.config.n_classes), dtype=np.float64)
+    for start in range(0, patches.shape[0], chunk_size):
+        a = chunk = patches[start:start + chunk_size]
+        for layer in net.conv_layers:
+            a, _ = nn.maxpool2x2_forward(nn.relu(nn.conv2d_forward(a, layer)))
+        p = nn.softmax(a.reshape(a.shape[0], -1) @ net.dense_weights.T)
+        ids[start:start + chunk.shape[0]] = p.argmax(axis=1)
+        probs[start:start + chunk.shape[0]] = p
+    return ids, probs
+
+
 class TestPredict:
+    @pytest.mark.parametrize("count", [1, model.CONV_BLOCK - 1, model.CONV_BLOCK,
+                                       model.CONV_BLOCK + 1, 72, 513])
+    def test_blocks_match_single_pass(self, count):
+        net = model.build_model(model.ModelConfig(seed=5))  # the default network
+        patches = np.random.default_rng(count).random((count, 32, 32, 4), dtype=np.float32)
+        ids, probs = model.predict_batch(net, patches)
+        want_ids, want_probs = predict_batch_single_pass(net, patches)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+
     def test_constructed_dominant_class(self):
         net = model.build_model(TINY)
         for layer in net.conv_layers:
@@ -305,6 +330,20 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, name", [(0, "conv0.kernels"), (-1, "dense_weights")])
+    def test_non_finite_weight_rejected(self, tmp_path, value, where, name):
+        path = tmp_path / "model.mmrc"
+        model.save_checkpoint(model.build_model(TINY), path)
+        data = bytearray(path.read_bytes())
+        (config_len,) = struct.unpack_from("<I", data, 8)
+        at = 12 + config_len if where == 0 else len(data) - 4
+        data[at:at + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"{path.name}: non-finite weight .* in {name} "
+                                              f"at byte offset {at}$"):
+            model.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mmrc"

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -468,6 +469,26 @@ class TestManifestRoundTrip:
         manifest.frame_files = ["a.mmf", "b.mmf"]
         write_manifest(manifest, path)
         with pytest.raises(FormatError, match="missing manifest key 'frame_2'"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("patch_size", 0, "patch size must be >= 1, got 0"),
+        ("stride", 0, "stride must be >= 1, got 0"),
+        ("stride", -16, "stride must be >= 1, got -16"),
+        ("fill", 5.0, r"fill value 5\.0 outside \[0,1\]"),
+        ("fill", float("nan"), r"fill value nan outside \[0,1\]"),
+        ("tau", -1.0, "variance threshold must be >= 0, got -1.0"),
+        ("tau", float("nan"), "variance threshold must be >= 0, got nan"),
+    ])
+    def test_grid_values_rejected_with_path(self, tmp_path, key, value, match):
+        manifest = DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L"],
+            offsets=generate_offsets(3, 8, 4, 0.0), tau=0.0, fill=0.0, seed=0,
+            frame_count=1, patch_count=1)
+        setattr(manifest, key, value)
+        path = tmp_path / "manifest.txt"
+        write_manifest(manifest, path)
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ": " + match):
             read_manifest(path)
 
     def test_missing_key_rejected(self, tmp_path):
