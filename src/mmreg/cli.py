@@ -16,8 +16,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-import numpy as np
-
 from . import evaluation, flow as flow_mod, model, pipeline, synth
 from .offsets import generate_offsets
 from .pipeline import FormatError, Frame, read_frame, read_manifest, rgb_to_gray, write_frame
@@ -196,12 +194,8 @@ def cmd_dataset(args) -> int:
     first = next(frames)
     channels = first.channel_names
 
-    def kept(frame) -> int:
-        return sum(int(pipeline.patch_grid(frame, offset, args.p, args.s, args.tau,
-                                           args.fill, ["L"])[1].sum())
-                   for offset in offsets)
-
-    count = sum(pipeline.bounded_map(kept, chain([first], frames), worker_count()))
+    count = int(pipeline.patch_counts(chain([first], frames), offsets, args.p, args.s,
+                                      args.tau, args.fill, worker_count()).sum())
     if count == 0:
         raise ValueError(f"variance filter (tau={args.tau}) dropped every patch; lower tau")
 
@@ -247,29 +241,21 @@ def cmd_train(args) -> int:
     net = model.build_model(config)
 
     paths = _manifest_frame_paths(manifest_path, manifest, args.frames)
-    frames = _read_frames(paths)
-    first = next(frames)
-    rows, cols = pipeline.patch_grid_shape(first.height, first.width, manifest.patch_size,
-                                           manifest.stride)
+    frames = list(_read_frames(paths))
+    rows, cols = pipeline.patch_grid_shape(frames[0].height, frames[0].width,
+                                           manifest.patch_size, manifest.stride)
     bound = len(paths) * len(manifest.offsets) * rows * cols
     if not 1 <= manifest.patch_count <= bound:
         raise FormatError(f"{manifest_path}: patch_count {manifest.patch_count} outside "
                           f"[1, {bound}] for {len(paths)} frames x {len(manifest.offsets)} "
                           f"offsets x {rows * cols} grid cells")
-    x = np.empty((manifest.patch_count, manifest.patch_size, manifest.patch_size,
-                  len(selected)), dtype=np.float32)
-    y = np.empty(manifest.patch_count, dtype=np.int64)
-    stream = pipeline.iter_patch_samples(chain([first], frames), manifest.offsets,
-                                         manifest.patch_size, manifest.stride, manifest.tau,
-                                         manifest.fill, selected, workers=worker_count())
-    count = 0
-    with closing(stream):
-        for count, sample in enumerate(stream, 1):
-            if count <= len(y):
-                x[count - 1], y[count - 1] = sample.data, sample.label
-    if count != len(y):
-        raise FormatError(f"{manifest_path}: frames reproduce {count} patches, not its "
-                          f"patch_count {len(y)}")
+    x, y, _, _ = pipeline.patch_arrays(frames, manifest.offsets, manifest.patch_size,
+                                       manifest.stride, manifest.tau, manifest.fill, selected,
+                                       worker_count())
+    del frames  # training needs only the patches
+    if len(y) != manifest.patch_count:
+        raise FormatError(f"{manifest_path}: frames reproduce {len(y)} patches, not its "
+                          f"patch_count {manifest.patch_count}")
 
     train_config = model.TrainConfig(batch_size=args.batch, epochs=args.epochs,
                                      learning_rate=args.lr, momentum=args.momentum,

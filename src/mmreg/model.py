@@ -174,15 +174,7 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
     skips its computation in the first conv layer.
     """
     logits, flat, pooled_shape, caches = _forward(net, x, keep_cache=True)
-    b = x.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    log_probs = z - log_norm
-    loss = float(-log_probs[np.arange(b), y].mean())
-
-    d_logits = np.exp(log_probs)
-    d_logits[np.arange(b), y] -= 1.0
-    d_logits /= b
+    loss, _, d_logits = nn.softmax_xent(logits, y)
     d_dense = d_logits.T @ flat
     d = (d_logits @ net.dense_weights).reshape(pooled_shape)
 

@@ -306,6 +306,24 @@ def softmax(logits: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def softmax_xent(logits: Array, labels: Array) -> tuple[float, Array, Array]:
+    """Mean softmax cross-entropy of (B, N) logits against B class ids.
+
+    Each row is shifted by its max before the log-sum-exp. Returns (mean
+    -log p[label], the (B, N) log-probabilities, the logit gradient
+    (p - onehot) / B).
+    """
+    rows = np.arange(logits.shape[0])
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    log_probs = z - log_norm
+    loss = float(-log_probs[rows, labels].mean())
+    d_logits = np.exp(log_probs)
+    d_logits[rows, labels] -= 1.0
+    d_logits /= logits.shape[0]
+    return loss, log_probs, d_logits
+
+
 def dense_softmax_xent(x: Array, weights: Array, label: int) -> tuple[Array, float, DenseGrads]:
     """Dense layer + softmax + cross-entropy for one flat sample.
 
@@ -317,14 +335,9 @@ def dense_softmax_xent(x: Array, weights: Array, label: int) -> tuple[Array, flo
              f"weights shape {weights.shape} does not match input length {x.shape[0]}")
     n_classes = weights.shape[0]
     _require(0 <= int(label) < n_classes, f"label {label} out of range [0, {n_classes})")
-    logits = weights @ x
-    z = logits - logits.max()
-    log_norm = np.log(np.exp(z).sum())
-    probs = np.exp(z - log_norm)
-    loss = float(log_norm - z[label])
-    d_logits = probs.copy()
-    d_logits[label] -= 1
-    return probs, loss, DenseGrads(weights=np.outer(d_logits, x), input=weights.T @ d_logits)
+    loss, log_probs, d_logits = softmax_xent((weights @ x)[None], np.array([label]))
+    return (np.exp(log_probs[0]), loss,
+            DenseGrads(weights=np.outer(d_logits[0], x), input=weights.T @ d_logits[0]))
 
 
 def sgd_step(param: Array, grad: Array, learning_rate: float, momentum: float = 0.0,

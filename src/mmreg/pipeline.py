@@ -146,6 +146,7 @@ def read_frame(path) -> Frame:
     offset += channel_count
 
     plane_bytes = width * height * 4
+    planes_start = offset
     channels = {}
     for name in names:
         need(plane_bytes, offset, f"plane {name}")
@@ -157,7 +158,15 @@ def read_frame(path) -> Frame:
     try:
         return Frame(channels)
     except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        # Frame checks the planes in file order, so the first plane holding
+        # a value outside [0,1] (NaN included) is the one it names
+        where = ""
+        for k, plane in enumerate(channels.values()):
+            bad = np.flatnonzero(~((plane >= 0.0) & (plane <= 1.0)))
+            if bad.size:
+                where = f"; first at byte offset {planes_start + k * plane_bytes + 4 * bad[0]}"
+                break
+        raise FormatError(f"{path}: {exc}{where}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -322,37 +331,71 @@ class DatasetManifest:
     patch_count: int = 0
 
 
+def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
+                 tau: float, fill: float = DEFAULT_FILL, workers: int = 1) -> np.ndarray:
+    """Kept-window count of every (frame, offset class) pair, read from the
+    L masks of patch_grid, as a (frames, offsets) int64 array.
+
+    frames may be a stream: bounded_map holds at most 2 * workers of them.
+    """
+    if not offsets:
+        raise ValueError("offset table is empty")
+
+    def kept(frame) -> list[int]:
+        return [int(patch_grid(frame, offset, p, s, tau, fill, ["L"])[1].sum())
+                for offset in offsets]
+
+    counts = np.array(list(bounded_map(kept, frames, workers)), dtype=np.int64)
+    return counts.reshape(-1, len(offsets))
+
+
+def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
+                 tau: float, fill: float = DEFAULT_FILL, channels: Sequence[str] | None = None,
+                 workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every kept window as arrays: (n, p, p, C) float32 data, then int64
+    offset class ids, frame indices and (n, 2) (row, col) origins.
+
+    Rows run frames in index order, offset classes in table order, windows
+    row-major. patch_counts sizes the arrays first; then, one frame per
+    bounded_map call, each (frame, offset) pair writes its windows[keep]
+    into its own slice of them.
+    """
+    if not frames:
+        raise ValueError("no frames to cut patches from")
+    if channels is not None and not channels:
+        raise ValueError("channel selection is empty")
+    sel = list(channels if channels is not None else frames[0].channel_names)
+    counts = patch_counts(frames, offsets, p, s, tau, fill, workers)
+    ends = np.cumsum(counts).reshape(counts.shape)
+    n = int(counts.sum())
+    x = np.empty((n, p, p, len(sel)), dtype=np.float32)
+    labels = np.empty(n, dtype=np.int64)
+    frame_index = np.empty(n, dtype=np.int64)
+    origins = np.empty((n, 2), dtype=np.int64)
+
+    def write(index: int) -> None:
+        for j, offset in enumerate(offsets):
+            windows, keep = patch_grid(frames[index], offset, p, s, tau, fill, sel)
+            rows = slice(ends[index, j] - counts[index, j], ends[index, j])
+            x[rows] = windows[keep]
+            labels[rows] = offset.id
+            frame_index[rows] = index
+            origins[rows] = np.argwhere(keep) * s
+
+    for _ in bounded_map(write, range(len(frames)), workers):
+        pass
+    return x, labels, frame_index, origins
+
+
 def iter_patch_samples(frames: Iterable[Frame], offsets: list[OffsetClass], p: int, s: int,
                        tau: float, fill: float = DEFAULT_FILL,
                        channels: list[str] | None = None,
                        workers: int = 1) -> Iterator[PatchSample]:
-    """Stream PatchSamples: frames in index order, offset classes in table
-    order, patch origins row-major; each (frame, offset) pair is one
-    patch_grid, whose kept windows are copied once into one array that the
-    pair's samples view row by row.
-    """
-    if not offsets:
-        raise ValueError("offset table is empty")
-    if channels is not None and not channels:
-        raise ValueError("channel selection is empty")
-
-    def frame_samples(item):
-        frame_index, frame = item
-        sel = channels if channels is not None else frame.channel_names
-        out = []
-        for offset in offsets:
-            windows, keep = patch_grid(frame, offset, p, s, tau, fill, sel)
-            rows, cols = np.nonzero(keep)
-            out.extend(PatchSample(data=data, label=offset.id, frame_index=frame_index,
-                                   origin=(i * s, j * s))
-                       for data, i, j in zip(windows[keep], rows.tolist(), cols.tolist()))
-        return out
-
-    def generate():
-        for batch in bounded_map(frame_samples, enumerate(frames), workers):
-            yield from batch
-
-    return generate()
+    """PatchSample views over the rows of patch_arrays, in its order."""
+    x, labels, frame_index, origins = patch_arrays(list(frames), offsets, p, s, tau, fill,
+                                                   channels, workers)
+    return map(PatchSample, x, labels.tolist(), frame_index.tolist(),
+               map(tuple, origins.tolist()))
 
 
 def build_dataset(frames: list[Frame], offsets: list[OffsetClass], p: int, s: int,
@@ -365,12 +408,10 @@ def build_dataset(frames: list[Frame], offsets: list[OffsetClass], p: int, s: in
     Raises if the variance filter leaves nothing.
     """
     frames = list(frames)
-    if not frames:
-        raise ValueError("no frames to build a dataset from")
-    sel = channels if channels is not None else frames[0].channel_names
-    samples = list(iter_patch_samples(frames, offsets, p, s, tau, fill, sel, workers))
+    samples = list(iter_patch_samples(frames, offsets, p, s, tau, fill, channels, workers))
     if not samples:
         raise ValueError(f"variance filter (tau={tau}) dropped every patch; lower tau")
+    sel = channels if channels is not None else frames[0].channel_names
     manifest = DatasetManifest(patch_size=p, stride=s, channels=list(sel),
                                offsets=list(offsets), tau=tau, fill=fill, seed=seed,
                                split=split, frame_count=len(frames),

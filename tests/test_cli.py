@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from mmreg import cli, model
+from mmreg import cli, model, pipeline
 from mmreg.cli import main, parse_channels
 from mmreg.pipeline import Frame, read_frame, read_manifest, write_frame
 
@@ -316,6 +316,20 @@ class TestTrainEval:
                        "--batch", 64, "--seed", 5) == 0
             outs.append((out / "checkpoint.mmrc").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_train_builds_no_patch_samples(self, small_corpus, tmp_path, monkeypatch):
+        ds = small_corpus / "ds" / "manifest.txt"
+        flags = ("--channels", "Gr,L", "--filters", "2,2,2", "--kernel", 3, "--epochs", 1,
+                 "--batch", 64, "--seed", 5)
+        assert run("train", "--dataset", ds, "--out", tmp_path / "ref", *flags) == 0
+
+        def no_samples(*args):
+            raise AssertionError("train built a PatchSample")
+
+        monkeypatch.setattr(pipeline, "PatchSample", no_samples)
+        assert run("train", "--dataset", ds, "--out", tmp_path / "arrays", *flags) == 0
+        assert (tmp_path / "arrays" / "checkpoint.mmrc").read_bytes() == \
+            (tmp_path / "ref" / "checkpoint.mmrc").read_bytes()
 
     def test_missing_checkpoint_fails(self, small_corpus, tmp_path, capsys):
         ds = small_corpus / "ds" / "manifest.txt"

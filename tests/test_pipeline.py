@@ -117,6 +117,10 @@ class TestMmfRoundTrip:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=r"channel L values outside \[0,1\]"):
             read_frame(path)
+        # header 16 bytes, 2 channel ids, plane R 24 bytes; the NaN is L's value 4
+        with pytest.raises(FormatError, match=re.escape(str(path)) +
+                           r": channel L values outside \[0,1\].*byte offset 58$"):
+            read_frame(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -406,6 +410,14 @@ class TestPatchGridOracle:
         new_x, new_y = collect_arrays(new)
         old_x, old_y = collect_arrays(old)
         assert new_x.tobytes() == old_x.tobytes() and new_y.tobytes() == old_y.tobytes()
+        old_index = np.array([b.frame_index for b in old], dtype=np.int64)
+        old_origins = np.array([b.origin for b in old], dtype=np.int64)
+        for workers in (1, 2, 3):
+            x, labels, index, origins = pipeline.patch_arrays(frames, offsets, p, s, tau, fill,
+                                                              sel, workers)
+            assert x.tobytes() == old_x.tobytes() and labels.tobytes() == old_y.tobytes()
+            assert index.tobytes() == old_index.tobytes()
+            assert origins.tobytes() == old_origins.tobytes()
         for frame in frames:
             for offset in offsets:
                 windows, keep = patch_grid(frame, offset, p, s, tau, fill, sel)

@@ -1,4 +1,5 @@
-"""Random byte mutations of valid MMF, manifest and checkpoint files.
+"""Random byte mutations of valid MMF, manifest, checkpoint and --config
+files.
 
 Each reader either parses the mutated file or raises FormatError or
 another ValueError; no other exception escapes. The per-example deadline
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from mmreg import model
+from mmreg import cli, model
 from mmreg.offsets import generate_offsets
-from mmreg.pipeline import (DatasetManifest, Frame, read_frame, read_manifest, write_frame,
-                            write_manifest)
+from mmreg.pipeline import (DatasetManifest, Frame, parse_key_values, read_frame, read_manifest,
+                            write_frame, write_manifest)
+
+_, SUBCOMMANDS = cli.build_parser()
 
 NUMBERS = (b"nan", b"inf", b"-1", b"0", b"99999999", b"1e308")
 TOKENS = NUMBERS + (b"\xff\xff\xff\xff", b"\x00\x00\x00\x00", b"=", b",", b"\n")
@@ -71,6 +74,10 @@ def valid(tmp_path_factory):
     model.save_checkpoint(model.build_model(model.ModelConfig(
         patch_size=8, channels=("Gr", "L"), filters=(2, 2, 2), kernel_size=3,
         n_classes=3, seed=1)), root / "checkpoint.mmrc")
+    for command, sub in SUBCOMMANDS.items():
+        defaults = {key: sub.parser.get_default(key) for key in sub.types}
+        (root / f"{command}.conf").write_text("".join(
+            f"{key}={'x' if value is None else value}\n" for key, value in defaults.items()))
     return root
 
 
@@ -83,8 +90,17 @@ def every_value_forged(test):
     return test
 
 
+def config_reader(command):
+    """What main does with a --config file for command, short of running it."""
+    def read(path):
+        pairs = parse_key_values(path.read_text(), source=str(path))
+        return cli._typed_config_defaults(SUBCOMMANDS[command], pairs, str(path))
+    return read
+
+
 READERS = {"frame.mmf": read_frame, "manifest.txt": read_manifest,
-           "checkpoint.mmrc": model.load_checkpoint}
+           "checkpoint.mmrc": model.load_checkpoint,
+           **{f"{command}.conf": config_reader(command) for command in SUBCOMMANDS}}
 
 
 @pytest.mark.parametrize("name", list(READERS))
