@@ -18,20 +18,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import evaluation, flow as flow_mod, model, pipeline, synth
 from .offsets import generate_offsets
-from .pipeline import FormatError, Frame, read_frame, read_manifest, rgb_to_gray, write_frame
-
-
-def worker_count() -> int:
-    raw = os.environ.get("MMREG_THREADS", "0").strip() or "0"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"MMREG_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError(f"MMREG_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+from .pipeline import (FormatError, Frame, read_frame, read_manifest, rgb_to_gray, worker_count,
+                       write_frame)
 
 
 def parse_channels(text: str) -> list[str]:

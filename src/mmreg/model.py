@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import nn
-from .pipeline import CHANNEL_IDS, FormatError, parse_key_values
+from .pipeline import CHANNEL_IDS, FormatError, blas_threads, parse_key_values, worker_count
 
 CHECKPOINT_MAGIC = b"MMRC"
 CHECKPOINT_VERSION = 1
@@ -131,17 +133,15 @@ def build_model(config: ModelConfig) -> Network:
 def _conv_stages(net: Network, x: np.ndarray, caches: list | None = None) -> np.ndarray:
     """Pooled output of the conv -> relu -> pool stages for x (B, p, p, C).
 
-    With a caches list, each stage appends (input, im2col rows, conv
-    output, pool winner indices) for the backward pass.
+    With a caches list, each stage appends its (conv output, pool winner
+    indices).
     """
     a = x
     for layer in net.conv_layers:
-        cols_box = [] if caches is not None else None
-        z = nn.conv2d_forward(a, layer, _cols_out=cols_box)
-        pooled, idx = nn.maxpool2x2_forward(nn.relu(z))
+        z = nn.conv2d_forward(a, layer)
+        a, idx = nn.maxpool2x2_forward(nn.relu(z))
         if caches is not None:
-            caches.append((a, cols_box[0], z, idx))
-        a = pooled
+            caches.append((z, idx))
     return a
 
 
@@ -161,31 +161,114 @@ def forward_shapes(net: Network) -> list[tuple[int, ...]]:
                  dtype=net.dense_weights.dtype)
     logits, _, _, caches = _forward(net, x, keep_cache=True)
     # pool winner indices have the pooled shape
-    stages = [shape[1:] for _, _, z, idx in caches for shape in (z.shape, idx.shape)]
+    stages = [shape[1:] for z, idx in caches for shape in (z.shape, idx.shape)]
     return [x.shape[1:], *stages, logits.shape[1:]]
 
 
+def train_blocks() -> int:
+    """Patch blocks per training batch: as many as there are worker threads
+    beside the BLAS threads each block's matrix products use,
+    max(1, worker_count() // blas_threads())."""
+    return max(1, worker_count() // blas_threads())
+
+
+class _BatchWork:
+    """Whole-batch buffers of the loss-and-gradient pass for up to capacity
+    (h, w, c) samples of one dtype, and the pool its patch blocks run on.
+
+    Per conv stage it holds the im2col rows, the conv output (which the
+    backward pass overwrites with the gradient at the conv output) and
+    the pooled output. Blocks write their rows of these in place.
+    """
+
+    def __init__(self, net: Network, sample_shape, capacity: int, dtype,
+                 blocks: int = 1, pool: ThreadPoolExecutor | None = None):
+        self.blocks, self.pool = blocks, pool
+        self.cols, self.z, self.pooled = [], [], []
+        h, w, _ = sample_shape
+        for layer in net.conv_layers:
+            k = layer.kernel_size
+            h, w = (nn._conv_out_size(side, k, layer.padding, layer.stride) for side in (h, w))
+            self.cols.append(np.empty((capacity, h * w, k * k * layer.in_channels), dtype))
+            dtype = np.result_type(dtype, layer.kernels, layer.biases)
+            self.z.append(np.empty((capacity, h, w, layer.out_channels), dtype))
+            h, w = h // 2, w // 2
+            self.pooled.append(np.empty((capacity, h, w, layer.out_channels), dtype))
+
+    def bounds(self, n: int) -> list[tuple[int, int]]:
+        """[start, stop) of each contiguous block of an n-sample batch."""
+        count = min(self.blocks, n)
+        return [(j * n // count, (j + 1) * n // count) for j in range(count)]
+
+    def map(self, fn, items) -> list:
+        """[fn(item) for item in items], the first on this thread and the
+        rest on the pool. Every call has ended when this returns or raises;
+        the first error in item order is raised."""
+        first, *rest = items
+        futures = [self.pool.submit(fn, item) for item in rest]
+        try:
+            head = fn(first)
+        finally:
+            wait(futures)
+        return [head] + [f.result() for f in futures]
+
+
 def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
-                          input_grad: bool = True):
+                          input_grad: bool = True, work: _BatchWork | None = None):
     """Mean cross-entropy over the batch and its gradients.
 
     Returns (loss, per-layer ConvGrads, dense weight grad, input batch
     grad); the input batch grad is None when input_grad is False, which
     skips its computation in the first conv layer.
-    """
-    logits, flat, pooled_shape, caches = _forward(net, x, keep_cache=True)
-    loss, _, d_logits = nn.softmax_xent(logits, y)
-    d_dense = d_logits.T @ flat
-    d = (d_logits @ net.dense_weights).reshape(pooled_shape)
 
-    conv_grads = [None] * len(net.conv_layers)
-    for i in range(len(net.conv_layers) - 1, -1, -1):
-        a_in, cols, z_pre, idx = caches[i]
-        d = nn.maxpool2x2_backward(idx, d)
-        d = nn.relu_backward(z_pre, d)
-        d, conv_grads[i] = nn.conv2d_backward(a_in, net.conv_layers[i], d, _cols=cols,
-                                              input_grad=input_grad or i > 0)
-    return loss, conv_grads, d_dense, d
+    The conv stages run on contiguous blocks of the batch, work.blocks of
+    them (one when work is None, with buffers for this batch): per block,
+    conv, relu and pool forward, then pool and relu backward and the
+    input-gradient taps. Each row of those results has the same bits
+    whatever block its sample is in. The dense layer, the loss and every
+    kernel and bias gradient are single whole-batch calls, so the result
+    does not depend on the block count.
+    """
+    n = x.shape[0]
+    if work is None:
+        work = _BatchWork(net, x.shape[1:], n, x.dtype)
+    layers = net.conv_layers
+    inputs = [x, *work.pooled[:-1]]  # each conv stage's input rows
+    bounds = work.bounds(n)
+
+    def forward(bound):
+        lo, hi = bound
+        winners = []
+        for layer, a, cols, z, pooled in zip(layers, inputs, work.cols, work.z, work.pooled):
+            conv = nn.conv2d_forward(a[lo:hi], layer, cols=cols[lo:hi], out=z[lo:hi])
+            pooled[lo:hi], idx = nn.maxpool2x2_forward(nn.relu(conv))
+            winners.append(idx)
+        return winners
+
+    winners = work.map(forward, bounds)
+    top = work.pooled[-1][:n]
+    flat = top.reshape(n, -1)
+    loss, _, d_logits = nn.softmax_xent(flat @ net.dense_weights.T, y)
+    d_dense = d_logits.T @ flat
+    d_top = (d_logits @ net.dense_weights).reshape(top.shape)
+    d_input = np.empty(x.shape, work.z[0].dtype) if input_grad else None
+
+    def backward(block):
+        (lo, hi), idx = block
+        d = d_top[lo:hi]
+        for i in reversed(range(len(layers))):
+            d = nn.maxpool2x2_backward(idx[i], d)
+            u = work.z[i][lo:hi]
+            u[...] = nn.relu_backward(u, d)
+            if i == 0 and not input_grad:
+                return
+            d, _ = nn.conv2d_backward(inputs[i][lo:hi], layers[i], u, param_grads=False)
+        d_input[lo:hi] = d
+
+    work.map(backward, zip(bounds, winners))
+    conv_grads = [nn.conv2d_backward(a[:n], layer, u[:n], _cols=cols[:n], input_grad=False)[1]
+                  for layer, a, cols, u in zip(layers, inputs, work.cols, work.z)]
+    return loss, conv_grads, d_dense, d_input
 
 
 def train(net: Network, x: np.ndarray, y: np.ndarray,
@@ -193,7 +276,10 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     """Mini-batch SGD with momentum; updates net in place.
 
     Deterministic per seed: the per-epoch shuffle and the within-batch
-    reduction order are fixed. Returns (net, per-epoch mean loss).
+    reduction order are fixed. Each batch runs in train_blocks() patch
+    blocks on a thread pool that lives for this call, over buffers sized
+    once for the largest batch; the results do not depend on the block
+    count. Returns (net, per-epoch mean loss).
     """
     config.validate()
     if x.ndim != 4 or x.shape[0] == 0:
@@ -211,20 +297,24 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     n = x.shape[0]
     velocities = [np.zeros_like(p) for p in net.parameters()]
     history = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
-        batch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss, conv_grads, d_dense, _ = _batch_loss_and_grads(net, x[idx], y[idx],
-                                                                 input_grad=False)
-            if not np.isfinite(loss):
-                raise ValueError(f"training diverged: non-finite loss {loss}")
-            batch_losses.append(loss)
-            grads = [g for layer in conv_grads for g in (layer.kernels, layer.biases)] + [d_dense]
-            for p, g, v in zip(net.parameters(), grads, velocities):
-                nn.sgd_step(p, g, config.learning_rate, config.momentum, v)
-        history.append(float(np.mean(batch_losses)))
+    blocks = train_blocks()
+    with ThreadPoolExecutor(max_workers=blocks - 1) if blocks > 1 else nullcontext() as pool:
+        work = _BatchWork(net, x.shape[1:], min(config.batch_size, n), x.dtype, blocks, pool)
+        for _ in range(config.epochs):
+            order = rng.permutation(n) if config.shuffle else np.arange(n)
+            batch_losses = []
+            for start in range(0, n, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                loss, conv_grads, d_dense, _ = _batch_loss_and_grads(
+                    net, x[idx], y[idx], input_grad=False, work=work)
+                if not np.isfinite(loss):
+                    raise ValueError(f"training diverged: non-finite loss {loss}")
+                batch_losses.append(loss)
+                grads = [g for layer in conv_grads
+                         for g in (layer.kernels, layer.biases)] + [d_dense]
+                for p, g, v in zip(net.parameters(), grads, velocities):
+                    nn.sgd_step(p, g, config.learning_rate, config.momentum, v)
+            history.append(float(np.mean(batch_losses)))
     return net, history
 
 

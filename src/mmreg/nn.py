@@ -109,16 +109,20 @@ def _as_batch(x: Array) -> tuple[Array, bool]:
     return x, False
 
 
-def _im2col(padded: Array, k: int, stride: int, out_h: int, out_w: int) -> Array:
-    """Lower padded (B,Hp,Wp,C) to (B, out_h*out_w, k*k*C) patch rows.
+def _im2col(padded: Array, k: int, stride: int, out_h: int, out_w: int,
+            out: Array | None = None) -> Array:
+    """Lower padded (B,Hp,Wp,C) to (B, out_h*out_w, k*k*C) patch rows,
+    written into out (a C-contiguous array of that shape) when given.
 
     Row element order is (ki, kj, c), matching kernels.reshape(K, -1).
     """
     b, _, _, c = padded.shape
     view = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
-    view = view[:, ::stride, ::stride]              # (B, out_h, out_w, C, k, k)
-    cols = np.ascontiguousarray(view.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(b, out_h * out_w, k * k * c)
+    view = view[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)  # (B, out_h, out_w, k, k, C)
+    if out is None:
+        return np.ascontiguousarray(view).reshape(b, out_h * out_w, k * k * c)
+    out.reshape(view.shape)[...] = view
+    return out
 
 
 def _conv_geometry(x: Array, params: ConvParams):
@@ -137,22 +141,25 @@ def _pad_input(x: Array, pad: int) -> Array:
     return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
 
 
-def conv2d_forward(x: Array, params: ConvParams, _cols_out: list | None = None) -> Array:
+def conv2d_forward(x: Array, params: ConvParams, cols: Array | None = None,
+                   out: Array | None = None) -> Array:
     """Cross-correlate (.,H,W,Cin) with kernels -> (.,H',W',K).
 
     Output H' = (H + 2*pad - k)/stride + 1 (exact division required).
     Fast path lowers patches to a matrix product; equivalence with the
-    naive loop is covered by conv2d_forward_reference.
+    naive loop is covered by conv2d_forward_reference. Batched callers
+    may pass C-contiguous buffers to fill: cols (B, H'*W', k*k*Cin) for
+    the im2col rows and out (B, H', W', K) for the result, which is then
+    returned.
     """
     xb, squeeze = _as_batch(x)
     out_h, out_w = _conv_geometry(xb, params)
-    k = params.kernel_size
-    cols = _im2col(_pad_input(xb, params.padding), k, params.stride, out_h, out_w)
-    if _cols_out is not None:
-        _cols_out.append(cols)
-    w_mat = params.kernels.reshape(params.out_channels, -1).T  # (k*k*Cin, K)
-    y = cols @ w_mat + params.biases
-    y = y.reshape(xb.shape[0], out_h, out_w, params.out_channels)
+    k, n_k = params.kernel_size, params.out_channels
+    cols = _im2col(_pad_input(xb, params.padding), k, params.stride, out_h, out_w, out=cols)
+    w_mat = params.kernels.reshape(n_k, -1).T  # (k*k*Cin, K)
+    y = np.matmul(cols, w_mat, out=None if out is None else out.reshape(cols.shape[:2] + (n_k,)))
+    y += params.biases
+    y = y.reshape(xb.shape[0], out_h, out_w, n_k)
     return y[0] if squeeze else y
 
 
@@ -186,14 +193,17 @@ def conv2d_forward_reference(x: Array, params: ConvParams) -> Array:
 
 
 def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
-                    _cols: Array | None = None,
-                    input_grad: bool = True) -> tuple[Array | None, ConvGrads]:
+                    _cols: Array | None = None, input_grad: bool = True,
+                    param_grads: bool = True) -> tuple[Array | None, ConvGrads | None]:
     """Gradients of a scalar loss through conv2d_forward.
 
     upstream must have the forward output shape. Returns (input grad,
     parameter grads); batched inputs accumulate parameter grads over the
     batch in a fixed order. With input_grad=False the input grad is not
-    computed and None is returned in its place.
+    computed and None is returned in its place; likewise the parameter
+    grads with param_grads=False. _cols may hold the forward's im2col rows.
+    Each input-grad row depends only on its own sample's upstream rows, so
+    it has the same bits whichever batch the sample is in.
     """
     xb, squeeze = _as_batch(x)
     out_h, out_w = _conv_geometry(xb, params)
@@ -203,14 +213,14 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
              f"upstream grad shape {upstream.shape} does not match forward output {expected}")
 
     k, pad, stride = params.kernel_size, params.padding, params.stride
-    if _cols is None:
-        _cols = _im2col(_pad_input(xb, pad), k, stride, out_h, out_w)
     u_mat = ub.reshape(xb.shape[0], out_h * out_w, params.out_channels)
-
-    dw_mat = np.tensordot(_cols, u_mat, axes=([0, 1], [0, 1]))  # (k*k*Cin, K)
-    d_kernels = dw_mat.T.reshape(params.kernels.shape)
-    d_biases = u_mat.sum(axis=(0, 1))
-    grads = ConvGrads(kernels=d_kernels, biases=d_biases)
+    grads = None
+    if param_grads:
+        if _cols is None:
+            _cols = _im2col(_pad_input(xb, pad), k, stride, out_h, out_w)
+        dw_mat = np.tensordot(_cols, u_mat, axes=([0, 1], [0, 1]))  # (k*k*Cin, K)
+        grads = ConvGrads(kernels=dw_mat.T.reshape(params.kernels.shape),
+                          biases=u_mat.sum(axis=(0, 1)))
     if not input_grad:
         return None, grads
 

@@ -12,6 +12,7 @@ the same frames reproduces the dataset bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -244,6 +245,33 @@ def extract_patches(frame: Frame, p: int, s: int,
             for i in range(rows) for j in range(cols)]
 
 
+def _shifted_depth(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
+                   fill: float) -> np.ndarray:
+    """patch_grid's argument checks, then the L plane shifted by offset."""
+    check_grid_params(p, s, tau, fill)
+    patch_grid_shape(frame.height, frame.width, p, s)
+    if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
+        raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
+                         f"{frame.width}x{frame.height}")
+    return shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
+
+
+def _keep_mask(shifted: np.ndarray, p: int, s: int, tau: float) -> np.ndarray:
+    """(rows, cols) mask of windows whose shifted depth has population
+    variance >= tau."""
+    return _window_view(shifted[:, :, None], p, s)[..., 0].var(axis=(2, 3)) >= tau
+
+
+def _stacked_windows(frame: Frame, shifted: np.ndarray, p: int, s: int,
+                     channels: Sequence[str]) -> np.ndarray:
+    """(rows, cols, p, p, C) window view over the channels, L replaced by
+    its shifted plane."""
+    stacked = np.empty((frame.height, frame.width, len(channels)), dtype=np.float32)
+    for col, name in enumerate(channels):
+        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
+    return _window_view(stacked, p, s)
+
+
 def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
                fill: float, channels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The patch grid of one frame under one depth offset.
@@ -253,22 +281,39 @@ def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
     window view over the stacked channels and the (rows, cols) mask of
     windows whose shifted depth has population variance >= tau.
     """
-    check_grid_params(p, s, tau, fill)
-    patch_grid_shape(frame.height, frame.width, p, s)
-    if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
-        raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
-                         f"{frame.width}x{frame.height}")
-    shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
-    stacked = np.empty((frame.height, frame.width, len(channels)), dtype=np.float32)
-    for col, name in enumerate(channels):
-        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
-    keep = _window_view(shifted[:, :, None], p, s)[..., 0].var(axis=(2, 3)) >= tau
-    return _window_view(stacked, p, s), keep
+    shifted = _shifted_depth(frame, offset, p, s, tau, fill)
+    return _stacked_windows(frame, shifted, p, s, channels), _keep_mask(shifted, p, s, tau)
 
 
 # ---------------------------------------------------------------------------
-# Ordered thread map
+# Thread counts and the ordered thread map
 # ---------------------------------------------------------------------------
+
+def worker_count() -> int:
+    """Worker threads from MMREG_THREADS; 0 or unset means one per CPU, at
+    most 8."""
+    raw = os.environ.get("MMREG_THREADS", "0").strip() or "0"
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"MMREG_THREADS must be an integer, got {raw!r}") from None
+    if n < 0:
+        raise ValueError(f"MMREG_THREADS must be >= 0, got {n}")
+    if n == 0:
+        return min(os.cpu_count() or 1, 8)
+    return n
+
+
+def blas_threads() -> int:
+    """Threads OpenBLAS runs a matrix product on: OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS, else one per CPU (its default). A value that is
+    not a positive integer counts as unset."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        raw = os.environ.get(name, "").strip()
+        if raw.isdecimal() and int(raw) > 0:
+            return int(raw)
+    return os.cpu_count() or 1
+
 
 def bounded_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     """Yield fn(item) for each item, in input order, from a pool of
@@ -331,22 +376,33 @@ class DatasetManifest:
     patch_count: int = 0
 
 
-def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
-                 tau: float, fill: float = DEFAULT_FILL, workers: int = 1) -> np.ndarray:
-    """Kept-window count of every (frame, offset class) pair, read from the
-    L masks of patch_grid, as a (frames, offsets) int64 array.
-
-    frames may be a stream: bounded_map holds at most 2 * workers of them.
-    """
+def _keep_masks(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
+                tau: float, fill: float, workers: int) -> Iterator[list[np.ndarray]]:
+    """Each frame's patch_grid keep masks, one per offset class, mapped on
+    bounded_map."""
     if not offsets:
         raise ValueError("offset table is empty")
 
-    def kept(frame) -> list[int]:
-        return [int(patch_grid(frame, offset, p, s, tau, fill, ["L"])[1].sum())
+    def masks(frame) -> list[np.ndarray]:
+        return [_keep_mask(_shifted_depth(frame, offset, p, s, tau, fill), p, s, tau)
                 for offset in offsets]
 
-    counts = np.array(list(bounded_map(kept, frames, workers)), dtype=np.int64)
-    return counts.reshape(-1, len(offsets))
+    return bounded_map(masks, frames, workers)
+
+
+def _mask_counts(masks: Iterable[list[np.ndarray]], n_offsets: int) -> np.ndarray:
+    counts = [[int(keep.sum()) for keep in frame_masks] for frame_masks in masks]
+    return np.array(counts, dtype=np.int64).reshape(-1, n_offsets)
+
+
+def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
+                 tau: float, fill: float = DEFAULT_FILL, workers: int = 1) -> np.ndarray:
+    """Kept-window count of every (frame, offset class) pair, read from the
+    keep masks of patch_grid, as a (frames, offsets) int64 array.
+
+    frames may be a stream: bounded_map holds at most 2 * workers of them.
+    """
+    return _mask_counts(_keep_masks(frames, offsets, p, s, tau, fill, workers), len(offsets))
 
 
 def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
@@ -356,16 +412,17 @@ def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int
     offset class ids, frame indices and (n, 2) (row, col) origins.
 
     Rows run frames in index order, offset classes in table order, windows
-    row-major. patch_counts sizes the arrays first; then, one frame per
-    bounded_map call, each (frame, offset) pair writes its windows[keep]
-    into its own slice of them.
+    row-major. A first bounded_map pass computes every keep mask, whose
+    counts size the arrays; in a second, one frame per call, each (frame,
+    offset) pair writes its windows[keep] into its own slice of them.
     """
     if not frames:
         raise ValueError("no frames to cut patches from")
     if channels is not None and not channels:
         raise ValueError("channel selection is empty")
     sel = list(channels if channels is not None else frames[0].channel_names)
-    counts = patch_counts(frames, offsets, p, s, tau, fill, workers)
+    masks = list(_keep_masks(frames, offsets, p, s, tau, fill, workers))
+    counts = _mask_counts(masks, len(offsets))
     ends = np.cumsum(counts).reshape(counts.shape)
     n = int(counts.sum())
     x = np.empty((n, p, p, len(sel)), dtype=np.float32)
@@ -374,10 +431,11 @@ def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int
     origins = np.empty((n, 2), dtype=np.int64)
 
     def write(index: int) -> None:
-        for j, offset in enumerate(offsets):
-            windows, keep = patch_grid(frames[index], offset, p, s, tau, fill, sel)
+        frame = frames[index]
+        for j, (offset, keep) in enumerate(zip(offsets, masks[index])):
+            shifted = _shifted_depth(frame, offset, p, s, tau, fill)
             rows = slice(ends[index, j] - counts[index, j], ends[index, j])
-            x[rows] = windows[keep]
+            x[rows] = _stacked_windows(frame, shifted, p, s, sel)[keep]
             labels[rows] = offset.id
             frame_index[rows] = index
             origins[rows] = np.argwhere(keep) * s

@@ -133,6 +133,8 @@ class TestFlowWorkers:
 
 class TestThreadCountDeterminism:
     def test_outputs_identical_across_mmreg_threads(self, tmp_path, monkeypatch):
+        # one BLAS thread, so that training runs as many patch blocks as workers
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         trees = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("MMREG_THREADS", threads)

@@ -1,6 +1,9 @@
 import hashlib
+import os
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -177,6 +180,140 @@ class TestTrain:
         model.save_checkpoint(net, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             "478cd119ca6491a99e7c17af047673b3eeb7a0d2cc2668aab438a73859862593"
+
+
+def batch_loss_and_grads_single_pass(net, x, y, input_grad=True):
+    """_batch_loss_and_grads as it was before the conv stages ran in patch
+    blocks: every stage on the whole batch at once. The bit-identity
+    reference."""
+    caches, a = [], x
+    for layer in net.conv_layers:
+        z = nn.conv2d_forward(a, layer)
+        pooled, idx = nn.maxpool2x2_forward(nn.relu(z))
+        caches.append((a, z, idx))
+        a = pooled
+    flat = a.reshape(a.shape[0], -1)
+    loss, _, d_logits = nn.softmax_xent(flat @ net.dense_weights.T, y)
+    d_dense = d_logits.T @ flat
+    d = (d_logits @ net.dense_weights).reshape(a.shape)
+    conv_grads = [None] * len(net.conv_layers)
+    for i in range(len(net.conv_layers) - 1, -1, -1):
+        a_in, z, idx = caches[i]
+        d = nn.relu_backward(z, nn.maxpool2x2_backward(idx, d))
+        d, conv_grads[i] = nn.conv2d_backward(a_in, net.conv_layers[i], d,
+                                              input_grad=input_grad or i > 0)
+    return loss, conv_grads, d_dense, d
+
+
+def loss_and_grad_bytes(result):
+    loss, conv_grads, d_dense, d_input = result
+    parts = [np.float64(loss), d_dense] + [g for c in conv_grads for g in (c.kernels, c.biases)]
+    return [np.asarray(p).tobytes() for p in parts] + \
+        [None if d_input is None else d_input.tobytes()]
+
+
+SMALL_K3 = model.ModelConfig(patch_size=16, channels=("Gr", "L", "U"), filters=(4, 6, 8),
+                             kernel_size=3, n_classes=5, seed=3)
+
+
+class TestBlockedBatch:
+    @pytest.mark.parametrize("config", [model.ModelConfig(seed=5), SMALL_K3],
+                             ids=["default", "k3"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_blocks_match_single_pass(self, config, dtype, input_grad):
+        net = model.build_model(config).astype(dtype)
+        rng = np.random.default_rng(17)
+        side, depth = config.patch_size, len(config.channels)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for n in (1, 2, 3, 35, 100):
+                x = rng.random((n, side, side, depth)).astype(dtype)
+                y = rng.integers(0, config.n_classes, size=n)
+                want = loss_and_grad_bytes(batch_loss_and_grads_single_pass(net, x, y,
+                                                                            input_grad))
+                # one block with buffers for this batch, then 2 and 3 blocks
+                # with buffers for 100 samples on a pool, as model.train runs them
+                works = [None] + [model._BatchWork(net, x.shape[1:], 100, dtype, blocks, pool)
+                                  for blocks in (2, 3)]
+                for blocks, work in zip((1, 2, 3), works):
+                    got = model._batch_loss_and_grads(net, x, y, input_grad, work=work)
+                    assert loss_and_grad_bytes(got) == want, (n, blocks)
+
+
+class TestTrainBlocks:
+    @pytest.mark.parametrize("env,blocks", [
+        ({}, 1),                                              # OpenBLAS default: every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),  # 0 counts as unset
+        ({"MMREG_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"MMREG_THREADS": "3", "OPENBLAS_NUM_THREADS": "1"}, 3),
+        ({"MMREG_THREADS": "6", "OMP_NUM_THREADS": "2"}, 3),
+        ({"MMREG_THREADS": "2", "OPENBLAS_NUM_THREADS": "8"}, 1),
+    ])
+    def test_rule(self, monkeypatch, env, blocks):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for name in ("MMREG_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert model.train_blocks() == blocks
+
+
+    def test_train_identical_across_blocks(self, monkeypatch):
+        # 95 samples in batches of 25: the last batch holds 20
+        x, y = separable_dataset(np.random.default_rng(14), per_class=32)
+        x, y = x[:95], y[:95]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MMREG_THREADS", threads)
+            net, history = model.train(model.build_model(TINY), x, y, model.TrainConfig(
+                batch_size=25, epochs=2, learning_rate=0.05, seed=6))
+            runs.append((b"".join(p.tobytes() for p in net.parameters()), history))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+class TestBlockedTrainErrors:
+    """With two blocks, errors leave model.train and its pool's threads exit."""
+
+    @pytest.fixture(autouse=True)
+    def two_blocks(self, monkeypatch):
+        monkeypatch.setenv("MMREG_THREADS", "2")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert model.train_blocks() == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_divergence_raises(self):
+        x, y = separable_dataset(np.random.default_rng(12), per_class=10)
+        threads_before = threading.active_count()
+        # smaller rates only kill every relu, which leaves the loss at log(3)
+        with pytest.raises(ValueError, match="training diverged"):
+            model.train(model.build_model(TINY), x, y, model.TrainConfig(
+                batch_size=10, epochs=5, learning_rate=1e38, seed=3))
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("failing", ["calling thread", "pool thread"])
+    def test_block_error_propagates(self, monkeypatch, failing):
+        x, y = separable_dataset(np.random.default_rng(13), per_class=10)
+        real = nn.relu_backward
+        callers = set()
+
+        def flaky(z, upstream):
+            main = threading.current_thread() is threading.main_thread()
+            callers.add(main)
+            if main == (failing == "calling thread"):
+                raise RuntimeError("block failed")
+            return real(z, upstream)
+
+        monkeypatch.setattr(nn, "relu_backward", flaky)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            model.train(model.build_model(TINY), x, y, model.TrainConfig(
+                batch_size=10, epochs=1, seed=3))
+        assert callers == {True, False}  # both blocks ran
+        assert threading.active_count() == threads_before
 
 
 def predict_batch_single_pass(net, patches, chunk_size=512):
