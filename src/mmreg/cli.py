@@ -18,8 +18,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import evaluation, flow as flow_mod, model, pipeline, synth
 from .offsets import generate_offsets
-from .pipeline import (FormatError, Frame, read_frame, read_manifest, rgb_to_gray, worker_count,
-                       write_frame)
+from .pipeline import FormatError, Frame, read_frame, read_manifest, worker_count, write_frame
 
 
 def parse_channels(text: str) -> list[str]:
@@ -139,31 +138,12 @@ def cmd_synth(args) -> int:
 
 def cmd_flow(args) -> int:
     paths = _frame_paths(Path(args.in_dir))
+    flowed = pipeline.add_flow_channels(_read_frames(paths), args.alpha, args.iters,
+                                        args.clamp, worker_count())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def pairs():
-        """(previous frame or None, frame), each frame read once."""
-        prev = None
-        for frame in _read_frames(paths):
-            if not frame.has_channel("Gr"):
-                frame = rgb_to_gray(frame)
-            yield prev, frame
-            prev = frame
-
-    def with_flow(pair) -> Frame:
-        prev, frame = pair
-        if prev is None:
-            field = flow_mod.zero_flow(frame.height, frame.width)
-        else:
-            field = flow_mod.estimate_flow(prev.plane("Gr"), frame.plane("Gr"),
-                                           alpha=args.alpha, iterations=args.iters)
-        u01, v01 = flow_mod.flow_to_channels(field, clamp=args.clamp)
-        return frame.with_channels({"U": u01, "V": v01})
-
-    # consecutive pairs are independent; results come back in frame order,
-    # and closing joins the pool's threads even when a write fails
-    with closing(pipeline.bounded_map(with_flow, pairs(), worker_count())) as flowed:
+    # closing joins the pool's threads even when a write fails
+    with closing(flowed):
         for frame, path in zip(flowed, paths):
             write_frame(frame, out / path.name)
     _write_run_config(args, out, extra={"frame_count": len(paths)})
@@ -227,6 +207,10 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     net = model.build_model(config)
+    train_config = model.TrainConfig(batch_size=args.batch, epochs=args.epochs,
+                                     learning_rate=args.lr, momentum=args.momentum,
+                                     seed=args.seed)
+    train_config.validate()  # before the frames are read
 
     paths = _manifest_frame_paths(manifest_path, manifest, args.frames)
     frames = list(_read_frames(paths))
@@ -245,9 +229,6 @@ def cmd_train(args) -> int:
         raise FormatError(f"{manifest_path}: frames reproduce {len(y)} patches, not its "
                           f"patch_count {manifest.patch_count}")
 
-    train_config = model.TrainConfig(batch_size=args.batch, epochs=args.epochs,
-                                     learning_rate=args.lr, momentum=args.momentum,
-                                     seed=args.seed)
     net, history = model.train(net, x, y, train_config)
 
     out = Path(args.out)

@@ -28,6 +28,9 @@ PALETTE = (
     (70, 240, 240), (240, 50, 230), (128, 128, 128),
 )
 FILTERED_COLOR = (30, 30, 30)
+# square side in pixels of one patch-map cell and one heatmap cell
+PATCH_MAP_CELL = 8
+HEATMAP_CELL = 24
 
 
 class ConfusionMatrix:
@@ -235,8 +238,9 @@ def _class_color(class_id: int) -> tuple[int, int, int]:
     return FILTERED_COLOR if class_id < 0 else PALETTE[class_id % len(PALETTE)]
 
 
-def render_patch_map(grid: np.ndarray, cell_size: int = 8) -> np.ndarray:
-    """Patch-grid predictions -> RGB image, one cell_size square per patch."""
+def render_patch_map(grid: np.ndarray) -> np.ndarray:
+    """Patch-grid predictions -> RGB image, one PATCH_MAP_CELL square per patch."""
+    cell_size = PATCH_MAP_CELL
     rows, cols = grid.shape
     img = np.zeros((rows * cell_size, cols * cell_size, 3), dtype=np.uint8)
     for i in range(rows):
@@ -246,8 +250,9 @@ def render_patch_map(grid: np.ndarray, cell_size: int = 8) -> np.ndarray:
     return img
 
 
-def render_heatmap(cm: ConfusionMatrix, cell_size: int = 24) -> np.ndarray:
+def render_heatmap(cm: ConfusionMatrix) -> np.ndarray:
     """Row-normalized confusion matrix as a blue-to-red heat image."""
+    cell_size = HEATMAP_CELL
     row_sums = np.maximum(cm.counts.sum(axis=1, keepdims=True), 1)
     norm = cm.counts / row_sums
     n = cm.n_classes
@@ -261,7 +266,7 @@ def render_heatmap(cm: ConfusionMatrix, cell_size: int = 24) -> np.ndarray:
     return img
 
 
-def emit_report(report: EvalReport, out_dir, cell_size: int = 8) -> list[str]:
+def emit_report(report: EvalReport, out_dir) -> list[str]:
     """Write CSV matrices, the temporal table, a metric summary, per-class
     patch maps and a confusion heatmap; returns the file names written.
 
@@ -295,6 +300,6 @@ def emit_report(report: EvalReport, out_dir, cell_size: int = 8) -> list[str]:
 
     _write_ppm(render_heatmap(report.image_cm), record("confusion_heatmap.ppm"))
     for class_id in sorted(report.patch_maps):
-        _write_ppm(render_patch_map(report.patch_maps[class_id], cell_size),
+        _write_ppm(render_patch_map(report.patch_maps[class_id]),
                    record(f"patch_map_class{class_id}.ppm"))
     return written

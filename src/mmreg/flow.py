@@ -7,6 +7,7 @@ provide motion channels for the classifier, not a state-of-the-art flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,18 @@ class FlowField:
 
     u: np.ndarray
     v: np.ndarray
+
+
+def check_flow_params(alpha: float = DEFAULT_ALPHA, iterations: int = DEFAULT_ITERATIONS,
+                      clamp: float = DEFAULT_CLAMP) -> None:
+    """Reject an alpha or clamp that is not positive and finite (NaN
+    included) and fewer than one iteration."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if not 0 < clamp < math.inf:
+        raise ValueError(f"clamp must be positive and finite, got {clamp}")
 
 
 def _replicate_pad(plane: np.ndarray) -> np.ndarray:
@@ -65,10 +78,7 @@ def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
         lo, hi = float(plane.min()), float(plane.max())
         if not (lo >= -1e-6 and hi <= 1.0 + 1e-6):  # NaN fails this too
             raise ValueError(f"{name} frame values outside [0,1]: min {lo}, max {hi}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    check_flow_params(alpha, iterations)
 
     prev = frame_prev * np.float32(_BRIGHTNESS_SCALE)
     nxt = frame_next * np.float32(_BRIGHTNESS_SCALE)
@@ -127,8 +137,7 @@ def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
 def flow_to_channels(flow: FlowField, clamp: float = DEFAULT_CLAMP) -> tuple[np.ndarray, np.ndarray]:
     """Map velocities to [0, 1] planes: clamp to [-F, F], then affine so
     that zero flow lands exactly on 0.5."""
-    if clamp <= 0:
-        raise ValueError(f"clamp must be positive, got {clamp}")
+    check_flow_params(clamp=clamp)
     f = np.float32(clamp)
 
     def squash(plane):

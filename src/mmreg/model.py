@@ -26,6 +26,9 @@ CHECKPOINT_VERSION = 1
 # 72-patch batch about equally fast, 32 and one whole-batch block slower;
 # 8 holds the least memory
 CONV_BLOCK = 8
+# patches per dense-layer call in predict_batch, whose bits depend on the
+# row count
+PREDICT_CHUNK = 512
 
 
 @dataclass
@@ -68,14 +71,13 @@ class TrainConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     seed: int = 0
-    shuffle: bool = True
 
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         # learning rate 0 is allowed as an explicit no-op run
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 <= self.momentum < 1.0:
@@ -130,39 +132,12 @@ def build_model(config: ModelConfig) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _conv_stages(net: Network, x: np.ndarray, caches: list | None = None) -> np.ndarray:
-    """Pooled output of the conv -> relu -> pool stages for x (B, p, p, C).
-
-    With a caches list, each stage appends its (conv output, pool winner
-    indices).
-    """
+def _conv_stages(net: Network, x: np.ndarray) -> np.ndarray:
+    """Pooled output of the conv -> relu -> pool stages for x (B, p, p, C)."""
     a = x
     for layer in net.conv_layers:
-        z = nn.conv2d_forward(a, layer)
-        a, idx = nn.maxpool2x2_forward(nn.relu(z))
-        if caches is not None:
-            caches.append((z, idx))
+        a, _ = nn.maxpool2x2_forward(nn.relu(nn.conv2d_forward(a, layer)))
     return a
-
-
-def _forward(net: Network, x: np.ndarray, keep_cache: bool):
-    """Run the conv stages and dense layer; x is (B, p, p, C)."""
-    caches = [] if keep_cache else None
-    a = _conv_stages(net, x, caches)
-    flat = a.reshape(a.shape[0], -1)
-    logits = flat @ net.dense_weights.T
-    return logits, flat, a.shape, caches
-
-
-def forward_shapes(net: Network) -> list[tuple[int, ...]]:
-    """Activation shape chain for one patch: input, conv/pool stages, logits."""
-    cfg = net.config
-    x = np.zeros((1, cfg.patch_size, cfg.patch_size, len(cfg.channels)),
-                 dtype=net.dense_weights.dtype)
-    logits, _, _, caches = _forward(net, x, keep_cache=True)
-    # pool winner indices have the pooled shape
-    stages = [shape[1:] for z, idx in caches for shape in (z.shape, idx.shape)]
-    return [x.shape[1:], *stages, logits.shape[1:]]
 
 
 def train_blocks() -> int:
@@ -271,6 +246,18 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
     return loss, conv_grads, d_dense, d_input
 
 
+def forward_shapes(net: Network) -> list[tuple[int, ...]]:
+    """Activation shape chain for one patch: input, each conv stage's conv
+    and pooled output, logits; read from the buffers of one training pass."""
+    cfg = net.config
+    x = np.zeros((1, cfg.patch_size, cfg.patch_size, len(cfg.channels)),
+                 dtype=net.dense_weights.dtype)
+    work = _BatchWork(net, x.shape[1:], 1, x.dtype)
+    _batch_loss_and_grads(net, x, np.zeros(1, dtype=np.int64), input_grad=False, work=work)
+    stages = [a.shape[1:] for z, pooled in zip(work.z, work.pooled) for a in (z, pooled)]
+    return [x.shape[1:], *stages, net.dense_weights.shape[:1]]
+
+
 def train(net: Network, x: np.ndarray, y: np.ndarray,
           config: TrainConfig) -> tuple[Network, list[float]]:
     """Mini-batch SGD with momentum; updates net in place.
@@ -301,7 +288,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     with ThreadPoolExecutor(max_workers=blocks - 1) if blocks > 1 else nullcontext() as pool:
         work = _BatchWork(net, x.shape[1:], min(config.batch_size, n), x.dtype, blocks, pool)
         for _ in range(config.epochs):
-            order = rng.permutation(n) if config.shuffle else np.arange(n)
+            order = rng.permutation(n)
             batch_losses = []
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
@@ -323,22 +310,21 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def predict_batch(net: Network, patches: np.ndarray,
-                  chunk_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(net: Network, patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class ids and probabilities for (n, p, p, C) patches; ties go to the
     lowest class id.
 
     The conv stages run on CONV_BLOCK patches at a time, which keeps their
     im2col rows small; each output row of a conv GEMM has the same bits
     whatever the block size. The dense layer runs on whole chunks of up to
-    chunk_size patches, because its bits depend on the row count.
+    PREDICT_CHUNK patches.
     """
     if patches.ndim != 4:
         raise ValueError(f"expected (n, p, p, C) patches, got shape {patches.shape}")
     ids = np.empty(patches.shape[0], dtype=np.int64)
     probs = np.empty((patches.shape[0], net.config.n_classes), dtype=np.float64)
-    for start in range(0, patches.shape[0], chunk_size):
-        chunk = patches[start:start + chunk_size]
+    for start in range(0, patches.shape[0], PREDICT_CHUNK):
+        chunk = patches[start:start + PREDICT_CHUNK]
         pooled = np.concatenate([_conv_stages(net, chunk[i:i + CONV_BLOCK])
                                  for i in range(0, chunk.shape[0], CONV_BLOCK)])
         p = nn.softmax(pooled.reshape(chunk.shape[0], -1) @ net.dense_weights.T)

@@ -34,8 +34,11 @@ def generate_offsets(n_classes: int, major_axis: float, minor_axis: float,
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 offset classes, got {n_classes}")
-    if major_axis <= 0 or minor_axis <= 0:
-        raise ValueError(f"axes must be positive, got major={major_axis}, minor={minor_axis}")
+    if not (0 < major_axis < math.inf and 0 < minor_axis < math.inf):
+        raise ValueError(f"axes must be positive and finite, got major={major_axis}, "
+                         f"minor={minor_axis}")
+    if not math.isfinite(rotation_deg):
+        raise ValueError(f"rotation must be finite, got {rotation_deg}")
 
     a = major_axis / 2.0
     b = minor_axis / 2.0

@@ -1,5 +1,6 @@
-"""Frame container, MMF file I/O, the patch grid (depth-offset shift,
-channel stack, windows and variance filter) and labeled dataset assembly.
+"""Frame container, MMF file I/O, flow channels, the patch grid (depth-offset
+shift, channel stack, windows and variance filter) and labeled dataset
+assembly.
 
 MMF ("multi-modal frame") is a little-endian binary container:
 magic "MMF1", u32 width, u32 height, u32 channel_count, channel_count bytes
@@ -22,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import flow
 from .offsets import OffsetClass
 
 MMF_MAGIC = b"MMF1"
@@ -182,6 +184,36 @@ def rgb_to_gray(frame: Frame) -> Frame:
             raise ValueError(f"rgb_to_gray needs R,G,B channels; frame has {frame.channel_names}")
     gray = (0.299 * frame.plane("R") + 0.587 * frame.plane("G") + 0.114 * frame.plane("B"))
     return frame.with_channels({"Gr": np.clip(gray, 0.0, 1.0).astype(np.float32)})
+
+
+def add_flow_channels(frames: Iterable[Frame], alpha: float = flow.DEFAULT_ALPHA,
+                      iterations: int = flow.DEFAULT_ITERATIONS,
+                      clamp: float = flow.DEFAULT_CLAMP, workers: int = 1) -> Iterator[Frame]:
+    """Each frame with U,V channels of the Horn-Schunck flow from the frame
+    before it (zero flow for the first), Gr derived from R,G,B where missing.
+    The parameters are checked before a frame is read. Pairs map on
+    bounded_map, in input order; closing the iterator joins its pool."""
+    flow.check_flow_params(alpha, iterations, clamp)
+
+    def pairs():  # (previous frame or None, frame), each frame pulled once
+        prev = None
+        for frame in frames:
+            if not frame.has_channel("Gr"):
+                frame = rgb_to_gray(frame)
+            yield prev, frame
+            prev = frame
+
+    def with_flow(pair) -> Frame:
+        prev, frame = pair
+        if prev is None:
+            field = flow.zero_flow(frame.height, frame.width)
+        else:
+            field = flow.estimate_flow(prev.plane("Gr"), frame.plane("Gr"),
+                                       alpha=alpha, iterations=iterations)
+        u01, v01 = flow.flow_to_channels(field, clamp=clamp)
+        return frame.with_channels({"U": u01, "V": v01})
+
+    return bounded_map(with_flow, pairs(), workers)
 
 
 def shift_plane(plane: np.ndarray, dx: int, dy: int, fill: float) -> np.ndarray:
@@ -530,13 +562,19 @@ def read_manifest(path) -> DatasetManifest:
     pairs = parse_key_values(Path(path).read_text(), source=str(path))
     try:
         if pairs.get("format") != "mmreg-manifest-1":
-            raise FormatError(f"{path}: unknown manifest format {pairs.get('format')!r}")
+            raise ValueError(f"unknown manifest format {pairs.get('format')!r}")
         n_classes = int(pairs["n_classes"])
         offsets = []
         for i in range(n_classes):
             dx, dy = pairs[f"offset_{i}"].split(",")
             offsets.append(OffsetClass(id=i, dx=int(dx), dy=int(dy)))
         frame_count = int(pairs["frame_count"])
+        if frame_count < 0:
+            raise ValueError(f"negative frame_count {frame_count}")
+        beyond = next((key for key in pairs if key.startswith("frame_")
+                       and key[6:].isdecimal() and int(key[6:]) >= frame_count), None)
+        if beyond:
+            raise ValueError(f"entry {beyond} beyond frame_count {frame_count}")
         # a forged frame_count costs no more than the entries the file holds
         frame_files = ([pairs[f"frame_{i}"] for i in range(frame_count)]
                        if "frame_0" in pairs else [])

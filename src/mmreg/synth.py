@@ -51,8 +51,10 @@ class SceneConfig:
             raise ValueError(f"depth range must satisfy 0 < lo <= hi <= 1, got {self.depth_range}")
         if not 0.0 <= self.noise_amplitude <= 0.2:
             raise ValueError(f"noise amplitude {self.noise_amplitude} outside [0, 0.2]")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not 0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
+        if not all(map(math.isfinite, self.camera_translation)):
+            raise ValueError(f"camera translation must be finite, got {self.camera_translation}")
 
 
 @dataclass

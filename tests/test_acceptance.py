@@ -12,7 +12,7 @@ import pytest
 
 from mmreg import evaluation, flow as flow_mod, model, nn, pipeline, synth
 from mmreg.offsets import generate_offsets
-from mmreg.pipeline import DEFAULT_TAU, FormatError, Frame, build_dataset, collect_arrays
+from mmreg.pipeline import DEFAULT_TAU, FormatError, Frame, build_dataset
 from helpers import central_diff_grad, max_rel_error
 
 GRADCHECK_BOUND = 1e-4
@@ -236,26 +236,15 @@ def _flow_corpus(seed, count):
                                width=EXPERIMENT["width"], height=EXPERIMENT["height"],
                                object_count=EXPERIMENT["objects"],
                                noise_amplitude=EXPERIMENT["noise"])
-    frames = []
-    prev_gray = None
-    for frame in synth.generate_sequence(config):
-        frame = pipeline.rgb_to_gray(frame)
-        gray = frame.plane("Gr")
-        if prev_gray is None:
-            field = flow_mod.zero_flow(frame.height, frame.width)
-        else:
-            field = flow_mod.estimate_flow(prev_gray, gray)
-        u01, v01 = flow_mod.flow_to_channels(field)
-        frames.append(frame.with_channels({"U": u01, "V": v01}))
-        prev_gray = gray
-    return frames
+    return list(pipeline.add_flow_channels(synth.generate_sequence(config),
+                                           workers=pipeline.worker_count()))
 
 
 def _train_and_evaluate(train_frames, test_frames, channels):
     offsets = generate_offsets(9, 32, 16, 45.0)
-    samples, _ = build_dataset(train_frames, offsets, EXPERIMENT["patch"],
-                               EXPERIMENT["stride"], tau=DEFAULT_TAU, channels=channels)
-    x, y = collect_arrays(samples)
+    x, y, _, _ = pipeline.patch_arrays(train_frames, offsets, EXPERIMENT["patch"],
+                                       EXPERIMENT["stride"], tau=DEFAULT_TAU,
+                                       channels=channels, workers=pipeline.worker_count())
     net = model.build_model(model.ModelConfig(channels=tuple(channels),
                                               seed=EXPERIMENT["model_seed"]))
     net, history = model.train(net, x, y, model.TrainConfig(

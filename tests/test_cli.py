@@ -278,6 +278,43 @@ class TestGridChecks:
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
+NON_FINITE_CASES = {
+    "synth-jitter-nan": ("synth", ("--jitter", "nan"), "jitter must be finite and >= 0, got nan"),
+    "synth-translate-inf": ("synth", ("--translate", "inf,0"),
+                            r"camera translation must be finite, got \(inf, 0\.0\)"),
+    "dataset-major-nan": ("dataset", ("--major", "nan"),
+                          "axes must be positive and finite, got major=nan"),
+    "dataset-rot-inf": ("dataset", ("--rot", "inf"), "rotation must be finite, got inf"),
+    "flow-alpha-nan": ("flow", ("--alpha", "nan"), "alpha must be positive and finite, got nan"),
+    "flow-alpha-inf": ("flow", ("--alpha", "inf"), "alpha must be positive and finite, got inf"),
+    "flow-clamp-nan": ("flow", ("--clamp", "nan"), "clamp must be positive and finite, got nan"),
+    "train-lr-nan": ("train", ("--lr", "nan"), "learning rate must be finite and >= 0, got nan"),
+    "train-lr-inf": ("train", ("--lr", "inf"), "learning rate must be finite and >= 0, got inf"),
+}
+
+
+class TestNonFiniteFlags:
+    """A non-finite flag value fails its subcommand before anything is written."""
+
+    @pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+    def test_rejected_before_output(self, small_corpus, tmp_path, capsys, case):
+        command, flags, match = NON_FINITE_CASES[case]
+        inputs = {
+            "synth": ("--frames", 2, "--width", 64, "--height", 64, "--objects", 6),
+            "flow": ("--in-dir", small_corpus / "raw", "--iters", 5),
+            "dataset": ("--in-dir", small_corpus / "flowed", "--p", 16, "--s", 16,
+                        "--classes", 5, "--major", 8, "--minor", 4),
+            "train": ("--dataset", small_corpus / "ds" / "manifest.txt", "--channels", "Gr,L",
+                      "--filters", "2,2,2", "--kernel", 3, "--epochs", 1),
+        }
+        capsys.readouterr()
+        assert run(command, *inputs[command], *flags, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert re.search(match, err), err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrainEval:
     def test_full_cycle(self, small_corpus, tmp_path):
         ds = small_corpus / "ds" / "manifest.txt"

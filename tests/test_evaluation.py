@@ -91,7 +91,7 @@ class TestEvaluateRun:
         net, frames, offsets = make_eval_fixture()
         truth = {"current": 0}
 
-        def perfect(the_net, patches, chunk_size=512):
+        def perfect(the_net, patches):
             ids = np.full(patches.shape[0], truth["current"], dtype=np.int64)
             probs = np.zeros((patches.shape[0], the_net.config.n_classes))
             probs[:, truth["current"]] = 1.0
@@ -114,7 +114,7 @@ class TestEvaluateRun:
     def test_constant_classifier_scores_chance(self, monkeypatch):
         net, frames, offsets = make_eval_fixture()
 
-        def always_zero(the_net, patches, chunk_size=512):
+        def always_zero(the_net, patches):
             ids = np.zeros(patches.shape[0], dtype=np.int64)
             probs = np.zeros((patches.shape[0], the_net.config.n_classes))
             probs[:, 0] = 1.0
@@ -160,13 +160,13 @@ class TestEvaluateRun:
         calls = []
         lock = threading.Lock()
 
-        def failing(the_net, patches, chunk_size=512):
+        def failing(the_net, patches):
             with lock:
                 calls.append(None)
                 n = len(calls)
             if n == 5:
                 raise RuntimeError("classifier failed")
-            return real(the_net, patches, chunk_size)
+            return real(the_net, patches)
 
         monkeypatch.setattr(evaluation, "predict_batch", failing)
         threads_before = threading.active_count()
@@ -222,7 +222,7 @@ class TestReportEmission:
 
     def test_patch_map_geometry(self, tmp_path):
         report = self.make_report()
-        img = render_patch_map(report.patch_maps[0], cell_size=8)
+        img = render_patch_map(report.patch_maps[0])
         assert img.shape == (8 * 8, 25 * 8, 3)
         emit_report(report, tmp_path / "out")
         header = (tmp_path / "out" / "patch_map_class0.ppm").read_bytes()[:15]

@@ -137,8 +137,8 @@ class TestTrain:
         loss, _, _, _ = model._batch_loss_and_grads(net, x, y)
         singles = []
         for i in range(6):
-            _, flat, _, _ = model._forward(net, x[i:i + 1], keep_cache=False)
-            _, li, _ = nn.dense_softmax_xent(flat[0], net.dense_weights, int(y[i]))
+            flat = model._conv_stages(net, x[i:i + 1]).reshape(-1)
+            _, li, _ = nn.dense_softmax_xent(flat, net.dense_weights, int(y[i]))
             singles.append(li)
         assert loss == pytest.approx(np.mean(singles), rel=1e-5)
 

@@ -4,12 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from mmreg import pipeline
+from mmreg import flow, pipeline
 from mmreg.offsets import OffsetClass, generate_offsets
 from mmreg.pipeline import (DatasetManifest, FormatError, Frame, PatchSample,
                             build_dataset, collect_arrays, extract_patches,
                             iter_patch_samples, patch_grid, read_frame, read_manifest,
                             rgb_to_gray, shift_plane, write_frame, write_manifest)
+from mmreg.synth import SceneConfig, generate_sequence
 
 
 def random_frame(rng, height=16, width=20, names=("R", "G", "B", "L")):
@@ -149,6 +150,54 @@ class TestRgbToGray:
     def test_missing_rgb_rejected(self):
         with pytest.raises(ValueError, match="R,G,B"):
             rgb_to_gray(Frame({"L": np.zeros((2, 2))}))
+
+
+def flow_channels_serial(frames, alpha, iterations, clamp):
+    """The serial gray, zero-flow, flow and channels loop of the acceptance
+    experiment before add_flow_channels; the bit-identity reference."""
+    out, prev_gray = [], None
+    for frame in frames:
+        if not frame.has_channel("Gr"):
+            frame = rgb_to_gray(frame)
+        gray = frame.plane("Gr")
+        if prev_gray is None:
+            field = flow.zero_flow(frame.height, frame.width)
+        else:
+            field = flow.estimate_flow(prev_gray, gray, alpha=alpha, iterations=iterations)
+        u01, v01 = flow.flow_to_channels(field, clamp=clamp)
+        out.append(frame.with_channels({"U": u01, "V": v01}))
+        prev_gray = gray
+    return out
+
+
+class TestAddFlowChannels:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_serial_loop(self, workers):
+        frames = generate_sequence(SceneConfig(seed=4, frame_count=5, width=48, height=32,
+                                               object_count=6))
+        # frame 2 brings its own Gr, which is kept, not derived from R,G,B
+        gray = np.random.default_rng(2).random((32, 48), dtype=np.float32)
+        frames[2] = frames[2].with_channels({"Gr": gray})
+        want = flow_channels_serial(frames, alpha=0.5, iterations=30, clamp=4.0)
+        got = list(pipeline.add_flow_channels(iter(frames), alpha=0.5, iterations=30,
+                                              clamp=4.0, workers=workers))
+        assert [f.channel_names for f in got] == [f.channel_names for f in want]
+        for g, w in zip(got, want):
+            assert all(g.plane(n).tobytes() == w.plane(n).tobytes() for n in w.channel_names)
+        assert got[2].plane("Gr").tobytes() == gray.tobytes()
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"alpha": float("nan")}, "alpha must be positive and finite, got nan"),
+        ({"iterations": 0}, "iterations must be >= 1, got 0"),
+        ({"clamp": float("inf")}, "clamp must be positive and finite, got inf"),
+    ])
+    def test_parameters_checked_before_any_frame(self, kwargs, match):
+        def frames():
+            raise AssertionError("a frame was pulled")
+            yield
+
+        with pytest.raises(ValueError, match=match):
+            pipeline.add_flow_channels(frames(), **kwargs)
 
 
 class TestApplyOffset:
@@ -483,6 +532,26 @@ class TestManifestRoundTrip:
         with pytest.raises(FormatError, match="missing manifest key 'frame_2'"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("frame_count, frame_files, extra, match", [
+        (-3, ["a.mmf", "b.mmf"], "", "negative frame_count -3"),
+        (-3, [], "", "negative frame_count -3"),
+        (1, ["a.mmf", "b.mmf"], "", "entry frame_1 beyond frame_count 1"),
+        (0, ["a.mmf"], "", "entry frame_0 beyond frame_count 0"),
+        (2, ["a.mmf", "b.mmf"], "frame_5=z.mmf\n", "entry frame_5 beyond frame_count 2"),
+    ])
+    def test_frame_entries_must_match_frame_count(self, tmp_path, frame_count, frame_files,
+                                                  extra, match):
+        # write_manifest writes one frame_<i> entry per file, whatever the count
+        manifest = DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L"],
+            offsets=generate_offsets(3, 8, 4, 0.0), tau=0.0, fill=0.0, seed=0,
+            frame_files=frame_files, frame_count=frame_count, patch_count=1)
+        path = tmp_path / "manifest.txt"
+        write_manifest(manifest, path)
+        path.write_text(path.read_text() + extra)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {match}$"):
+            read_manifest(path)
+
     @pytest.mark.parametrize("key, value, match", [
         ("patch_size", 0, "patch size must be >= 1, got 0"),
         ("stride", 0, "stride must be >= 1, got 0"),
@@ -512,5 +581,6 @@ class TestManifestRoundTrip:
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "weird.txt"
         path.write_text("format=other\n")
-        with pytest.raises(FormatError, match="unknown manifest format"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: unknown manifest format"
+                                              " 'other'$"):
             read_manifest(path)
