@@ -2,8 +2,8 @@
 
 Subcommands: synth, flow, dataset, train, eval. Flag values resolve as
 CLI flag > --config key=value file > built-in default, and every run
-writes its resolved configuration next to its outputs. MMREG_THREADS
-caps worker counts (0 or unset = auto).
+writes its resolved configuration next to its outputs. Thread counts
+come from mmreg.pipeline (MMREG_THREADS, 0 or unset = auto).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from contextlib import closing
 from itertools import chain
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import evaluation, flow as flow_mod, model, pipeline, synth
 from .offsets import generate_offsets
-from .pipeline import FormatError, Frame, read_frame, read_manifest, worker_count, write_frame
+from .pipeline import FormatError, Frame, read_frame, read_manifest, write_frame
 
 
 def parse_channels(text: str) -> list[str]:
@@ -139,13 +140,17 @@ def cmd_synth(args) -> int:
 def cmd_flow(args) -> int:
     paths = _frame_paths(Path(args.in_dir))
     flowed = pipeline.add_flow_channels(_read_frames(paths), args.alpha, args.iters,
-                                        args.clamp, worker_count())
+                                        args.clamp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # closing joins the pool's threads even when a write fails
-    with closing(flowed):
+    # frames move into out only once all are written, so a failed run leaves
+    # out as it was (also when out is in_dir) and no partial sequence passes
+    # for a whole one; closing joins the pool's threads even when a write fails
+    with tempfile.TemporaryDirectory(dir=out) as staging, closing(flowed):
         for frame, path in zip(flowed, paths):
-            write_frame(frame, out / path.name)
+            write_frame(frame, Path(staging) / path.name)
+        for path in paths:
+            os.replace(Path(staging) / path.name, out / path.name)
     _write_run_config(args, out, extra={"frame_count": len(paths)})
     print(f"wrote {len(paths)} flow-augmented frames to {out}")
     return 0
@@ -163,7 +168,7 @@ def cmd_dataset(args) -> int:
     channels = first.channel_names
 
     count = int(pipeline.patch_counts(chain([first], frames), offsets, args.p, args.s,
-                                      args.tau, args.fill, worker_count()).sum())
+                                      args.tau, args.fill).sum())
     if count == 0:
         raise ValueError(f"variance filter (tau={args.tau}) dropped every patch; lower tau")
 
@@ -222,8 +227,7 @@ def cmd_train(args) -> int:
                           f"[1, {bound}] for {len(paths)} frames x {len(manifest.offsets)} "
                           f"offsets x {rows * cols} grid cells")
     x, y, _, _ = pipeline.patch_arrays(frames, manifest.offsets, manifest.patch_size,
-                                       manifest.stride, manifest.tau, manifest.fill, selected,
-                                       worker_count())
+                                       manifest.stride, manifest.tau, manifest.fill, selected)
     del frames  # training needs only the patches
     if len(y) != manifest.patch_count:
         raise FormatError(f"{manifest_path}: frames reproduce {len(y)} patches, not its "
@@ -262,7 +266,7 @@ def cmd_eval(args) -> int:
 
     report = evaluation.evaluate_run(net, frames, manifest.offsets, k_values,
                                      stride=manifest.stride, tau=manifest.tau,
-                                     fill=manifest.fill, workers=worker_count())
+                                     fill=manifest.fill)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     evaluation.emit_report(report, out)
@@ -382,7 +386,10 @@ def _typed_config_defaults(sub: Subcommand, pairs: dict[str, str], source: str) 
         if key not in sub.types:
             raise ValueError(f"{source}: unknown config key {key!r}")
         kind = sub.types[key]
-        defaults[key] = kind(raw) if kind else raw
+        try:
+            defaults[key] = kind(raw) if kind else raw
+        except ValueError as exc:
+            raise ValueError(f"{source}: config key {key!r}: {exc}") from None
     return defaults
 
 
@@ -392,8 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            pairs = pipeline.parse_key_values(Path(args.config).read_text(),
-                                              source=args.config)
+            pairs = pipeline.read_key_values(args.config)
             registry[args.command].parser.set_defaults(
                 **_typed_config_defaults(registry[args.command], pairs, args.config))
             args = parser.parse_args(argv)

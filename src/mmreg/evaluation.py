@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import Network, VoteHistogram, predict_batch, require_channels, temporal_fuse, vote_frame
 from .offsets import OffsetClass
-from .pipeline import Frame, bounded_map, patch_grid
+from .pipeline import Frame, blas_workers, bounded_map, patch_grid
 
 # 9 maximally distinct class colors (rgb), indexed by class id modulo 9;
 # cells dropped by the variance filter render dark gray.
@@ -118,12 +118,12 @@ class EvalReport:
 
 def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[OffsetClass],
                  k_values: Sequence[int], stride: int, tau: float,
-                 fill: float = 0.0, workers: int = 1) -> EvalReport:
+                 fill: float = 0.0) -> EvalReport:
     """Classify every surviving patch of every frame under every offset,
     vote per frame, and fuse votes over windows of consecutive frames.
 
-    The (offset, frame) pairs are classified on up to ``workers`` threads;
-    the report does not depend on the worker count.
+    The (offset, frame) pairs are classified on blas_workers() threads;
+    the report does not depend on the thread count.
 
     Every frame is assumed to hold its true offset for the whole window
     when fusing temporally. Frames whose patches are all filtered out
@@ -162,7 +162,7 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
     # (offset, frame) pairs are independent; results come back in pair
     # order, and closing joins the pool's threads when the loop raises
     pairs = [(offset, i) for offset in offsets for i in range(len(frames))]
-    with closing(bounded_map(classify, pairs, workers)) as results:
+    with closing(bounded_map(classify, pairs, blas_workers())) as results:
         for (offset, frame_index), (keep, ids) in zip(pairs, results):
             grid_shape = keep.shape
             frame_class, hist = vote_frame(ids, n_classes)
@@ -234,36 +234,23 @@ def _write_ppm(pixels: np.ndarray, path) -> None:
         fh.write(pixels.astype(np.uint8).tobytes())
 
 
-def _class_color(class_id: int) -> tuple[int, int, int]:
-    return FILTERED_COLOR if class_id < 0 else PALETTE[class_id % len(PALETTE)]
+def _cells(colors: np.ndarray, cell_size: int) -> np.ndarray:
+    """(rows, cols, 3) colors -> uint8 image of cell_size squares."""
+    return colors.astype(np.uint8).repeat(cell_size, 0).repeat(cell_size, 1)
 
 
 def render_patch_map(grid: np.ndarray) -> np.ndarray:
     """Patch-grid predictions -> RGB image, one PATCH_MAP_CELL square per patch."""
-    cell_size = PATCH_MAP_CELL
-    rows, cols = grid.shape
-    img = np.zeros((rows * cell_size, cols * cell_size, 3), dtype=np.uint8)
-    for i in range(rows):
-        for j in range(cols):
-            img[i * cell_size:(i + 1) * cell_size,
-                j * cell_size:(j + 1) * cell_size] = _class_color(int(grid[i, j]))
-    return img
+    colors = np.array(PALETTE + (FILTERED_COLOR,))  # FILTERED_COLOR last, for -1
+    return _cells(colors[np.where(grid < 0, len(PALETTE), grid % len(PALETTE))],
+                  PATCH_MAP_CELL)
 
 
 def render_heatmap(cm: ConfusionMatrix) -> np.ndarray:
     """Row-normalized confusion matrix as a blue-to-red heat image."""
-    cell_size = HEATMAP_CELL
     row_sums = np.maximum(cm.counts.sum(axis=1, keepdims=True), 1)
-    norm = cm.counts / row_sums
-    n = cm.n_classes
-    img = np.zeros((n * cell_size, n * cell_size, 3), dtype=np.uint8)
-    for i in range(n):
-        for j in range(n):
-            v = float(norm[i, j])
-            color = (int(round(255 * v)), int(round(64 * v)), int(round(255 * (1 - v))))
-            img[i * cell_size:(i + 1) * cell_size,
-                j * cell_size:(j + 1) * cell_size] = color
-    return img
+    v = cm.counts / row_sums
+    return _cells(np.rint(np.stack([255 * v, 64 * v, 255 * (1 - v)], axis=-1)), HEATMAP_CELL)
 
 
 def emit_report(report: EvalReport, out_dir) -> list[str]:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import nn
-from .pipeline import CHANNEL_IDS, FormatError, blas_threads, parse_key_values, worker_count
+from .pipeline import CHANNEL_IDS, FormatError, blas_workers, decode_text, parse_key_values
 
 CHECKPOINT_MAGIC = b"MMRC"
 CHECKPOINT_VERSION = 1
@@ -140,13 +140,6 @@ def _conv_stages(net: Network, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def train_blocks() -> int:
-    """Patch blocks per training batch: as many as there are worker threads
-    beside the BLAS threads each block's matrix products use,
-    max(1, worker_count() // blas_threads())."""
-    return max(1, worker_count() // blas_threads())
-
-
 class _BatchWork:
     """Whole-batch buffers of the loss-and-gradient pass for up to capacity
     (h, w, c) samples of one dtype, and the pool its patch blocks run on.
@@ -263,7 +256,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     """Mini-batch SGD with momentum; updates net in place.
 
     Deterministic per seed: the per-epoch shuffle and the within-batch
-    reduction order are fixed. Each batch runs in train_blocks() patch
+    reduction order are fixed. Each batch runs in blas_workers() patch
     blocks on a thread pool that lives for this call, over buffers sized
     once for the largest batch; the results do not depend on the block
     count. Returns (net, per-epoch mean loss).
@@ -284,7 +277,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     n = x.shape[0]
     velocities = [np.zeros_like(p) for p in net.parameters()]
     history = []
-    blocks = train_blocks()
+    blocks = blas_workers()
     with ThreadPoolExecutor(max_workers=blocks - 1) if blocks > 1 else nullcontext() as pool:
         work = _BatchWork(net, x.shape[1:], min(config.batch_size, n), x.dtype, blocks, pool)
         for _ in range(config.epochs):
@@ -443,7 +436,8 @@ def load_checkpoint(path) -> Network:
     offset = 12
     if len(data) < offset + config_len:
         raise FormatError(f"{path}: truncated config block at byte offset {offset}")
-    config = _config_from_text(data[offset:offset + config_len].decode("utf-8"), str(path))
+    config = _config_from_text(decode_text(data[offset:offset + config_len], path, offset),
+                               str(path))
     config.validate()
     offset += config_len
 

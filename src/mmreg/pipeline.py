@@ -188,11 +188,11 @@ def rgb_to_gray(frame: Frame) -> Frame:
 
 def add_flow_channels(frames: Iterable[Frame], alpha: float = flow.DEFAULT_ALPHA,
                       iterations: int = flow.DEFAULT_ITERATIONS,
-                      clamp: float = flow.DEFAULT_CLAMP, workers: int = 1) -> Iterator[Frame]:
+                      clamp: float = flow.DEFAULT_CLAMP) -> Iterator[Frame]:
     """Each frame with U,V channels of the Horn-Schunck flow from the frame
     before it (zero flow for the first), Gr derived from R,G,B where missing.
     The parameters are checked before a frame is read. Pairs map on
-    bounded_map, in input order; closing the iterator joins its pool."""
+    bounded_map(worker_count()), in order; closing the iterator joins it."""
     flow.check_flow_params(alpha, iterations, clamp)
 
     def pairs():  # (previous frame or None, frame), each frame pulled once
@@ -213,7 +213,7 @@ def add_flow_channels(frames: Iterable[Frame], alpha: float = flow.DEFAULT_ALPHA
         u01, v01 = flow.flow_to_channels(field, clamp=clamp)
         return frame.with_channels({"U": u01, "V": v01})
 
-    return bounded_map(with_flow, pairs(), workers)
+    return bounded_map(with_flow, pairs(), worker_count())
 
 
 def shift_plane(plane: np.ndarray, dx: int, dy: int, fill: float) -> np.ndarray:
@@ -318,12 +318,13 @@ def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
 
 
 # ---------------------------------------------------------------------------
-# Thread counts and the ordered thread map
+# Thread counts and the ordered thread map. Every pool in mmreg is sized
+# here: worker_count() threads, or blas_workers() if its items run BLAS
 # ---------------------------------------------------------------------------
 
 def worker_count() -> int:
-    """Worker threads from MMREG_THREADS; 0 or unset means one per CPU, at
-    most 8."""
+    """Threads of a pool with no BLAS work, from MMREG_THREADS; 0 or unset
+    means one per CPU, at most 8."""
     raw = os.environ.get("MMREG_THREADS", "0").strip() or "0"
     try:
         n = int(raw)
@@ -345,6 +346,12 @@ def blas_threads() -> int:
         if raw.isdecimal() and int(raw) > 0:
             return int(raw)
     return os.cpu_count() or 1
+
+
+def blas_workers() -> int:
+    """Threads of a pool whose items run BLAS matrix products (training
+    blocks, eval's pairs): max(1, worker_count() // blas_threads())."""
+    return max(1, worker_count() // blas_threads())
 
 
 def bounded_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
@@ -409,7 +416,7 @@ class DatasetManifest:
 
 
 def _keep_masks(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
-                tau: float, fill: float, workers: int) -> Iterator[list[np.ndarray]]:
+                tau: float, fill: float) -> Iterator[list[np.ndarray]]:
     """Each frame's patch_grid keep masks, one per offset class, mapped on
     bounded_map."""
     if not offsets:
@@ -419,7 +426,7 @@ def _keep_masks(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int,
         return [_keep_mask(_shifted_depth(frame, offset, p, s, tau, fill), p, s, tau)
                 for offset in offsets]
 
-    return bounded_map(masks, frames, workers)
+    return bounded_map(masks, frames, worker_count())
 
 
 def _mask_counts(masks: Iterable[list[np.ndarray]], n_offsets: int) -> np.ndarray:
@@ -428,18 +435,18 @@ def _mask_counts(masks: Iterable[list[np.ndarray]], n_offsets: int) -> np.ndarra
 
 
 def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
-                 tau: float, fill: float = DEFAULT_FILL, workers: int = 1) -> np.ndarray:
+                 tau: float, fill: float = DEFAULT_FILL) -> np.ndarray:
     """Kept-window count of every (frame, offset class) pair, read from the
     keep masks of patch_grid, as a (frames, offsets) int64 array.
 
-    frames may be a stream: bounded_map holds at most 2 * workers of them.
+    frames may be a stream: bounded_map holds 2 * worker_count() at most.
     """
-    return _mask_counts(_keep_masks(frames, offsets, p, s, tau, fill, workers), len(offsets))
+    return _mask_counts(_keep_masks(frames, offsets, p, s, tau, fill), len(offsets))
 
 
 def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
                  tau: float, fill: float = DEFAULT_FILL, channels: Sequence[str] | None = None,
-                 workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every kept window as arrays: (n, p, p, C) float32 data, then int64
     offset class ids, frame indices and (n, 2) (row, col) origins.
 
@@ -453,7 +460,7 @@ def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int
     if channels is not None and not channels:
         raise ValueError("channel selection is empty")
     sel = list(channels if channels is not None else frames[0].channel_names)
-    masks = list(_keep_masks(frames, offsets, p, s, tau, fill, workers))
+    masks = list(_keep_masks(frames, offsets, p, s, tau, fill))
     counts = _mask_counts(masks, len(offsets))
     ends = np.cumsum(counts).reshape(counts.shape)
     n = int(counts.sum())
@@ -472,18 +479,17 @@ def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int
             frame_index[rows] = index
             origins[rows] = np.argwhere(keep) * s
 
-    for _ in bounded_map(write, range(len(frames)), workers):
+    for _ in bounded_map(write, range(len(frames)), worker_count()):
         pass
     return x, labels, frame_index, origins
 
 
 def iter_patch_samples(frames: Iterable[Frame], offsets: list[OffsetClass], p: int, s: int,
                        tau: float, fill: float = DEFAULT_FILL,
-                       channels: list[str] | None = None,
-                       workers: int = 1) -> Iterator[PatchSample]:
+                       channels: list[str] | None = None) -> Iterator[PatchSample]:
     """PatchSample views over the rows of patch_arrays, in its order."""
     x, labels, frame_index, origins = patch_arrays(list(frames), offsets, p, s, tau, fill,
-                                                   channels, workers)
+                                                   channels)
     return map(PatchSample, x, labels.tolist(), frame_index.tolist(),
                map(tuple, origins.tolist()))
 
@@ -491,14 +497,13 @@ def iter_patch_samples(frames: Iterable[Frame], offsets: list[OffsetClass], p: i
 def build_dataset(frames: list[Frame], offsets: list[OffsetClass], p: int, s: int,
                   tau: float, fill: float = DEFAULT_FILL,
                   channels: list[str] | None = None, seed: int = 0,
-                  split: str = "all", workers: int = 1,
-                  ) -> tuple[list[PatchSample], DatasetManifest]:
+                  split: str = "all") -> tuple[list[PatchSample], DatasetManifest]:
     """Materialize the sample stream and its manifest.
 
     Raises if the variance filter leaves nothing.
     """
     frames = list(frames)
-    samples = list(iter_patch_samples(frames, offsets, p, s, tau, fill, channels, workers))
+    samples = list(iter_patch_samples(frames, offsets, p, s, tau, fill, channels))
     if not samples:
         raise ValueError(f"variance filter (tau={tau}) dropped every patch; lower tau")
     sel = channels if channels is not None else frames[0].channel_names
@@ -545,6 +550,16 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def decode_text(data: bytes, source, offset: int = 0) -> str:
+    """data as UTF-8 text. A byte that is not UTF-8 raises a FormatError
+    naming source and the byte's offset, counted from ``offset``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{source}: byte {data[exc.start]:#04x} at byte offset "
+                          f"{offset + exc.start} is not UTF-8") from None
+
+
 def parse_key_values(text: str, source: str = "<manifest>") -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -553,28 +568,50 @@ def parse_key_values(text: str, source: str = "<manifest>") -> dict[str, str]:
             continue
         if "=" not in line:
             raise FormatError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise FormatError(f"{source}:{lineno}: repeated key {key!r}")
+        pairs[key] = value
     return pairs
 
 
+def read_key_values(path) -> dict[str, str]:
+    """parse_key_values over a UTF-8 text file."""
+    return parse_key_values(decode_text(Path(path).read_bytes(), path), source=str(path))
+
+
 def read_manifest(path) -> DatasetManifest:
-    pairs = parse_key_values(Path(path).read_text(), source=str(path))
+    pairs = read_key_values(path)
     try:
         if pairs.get("format") != "mmreg-manifest-1":
             raise ValueError(f"unknown manifest format {pairs.get('format')!r}")
         n_classes = int(pairs["n_classes"])
-        offsets = []
-        for i in range(n_classes):
-            dx, dy = pairs[f"offset_{i}"].split(",")
-            offsets.append(OffsetClass(id=i, dx=int(dx), dy=int(dy)))
+        if n_classes < 2:
+            raise ValueError(f"n_classes {n_classes} below 2")
         frame_count = int(pairs["frame_count"])
         if frame_count < 0:
             raise ValueError(f"negative frame_count {frame_count}")
-        beyond = next((key for key in pairs if key.startswith("frame_")
-                       and key[6:].isdecimal() and int(key[6:]) >= frame_count), None)
-        if beyond:
-            raise ValueError(f"entry {beyond} beyond frame_count {frame_count}")
+        for prefix, count_key, count in (("offset_", "n_classes", n_classes),
+                                         ("frame_", "frame_count", frame_count)):
+            beyond = next((key for key in pairs if key.startswith(prefix)
+                           and key[len(prefix):].isdecimal()
+                           and int(key[len(prefix):]) >= count), None)
+            if beyond:
+                raise ValueError(f"entry {beyond} beyond {count_key} {count}")
+        offsets, seen = [], {}
+        for i in range(n_classes):
+            dx, dy = (int(v) for v in pairs[f"offset_{i}"].split(","))
+            if (dx, dy) in seen:
+                raise ValueError(f"offset_{seen[dx, dy]} and offset_{i} both shift by "
+                                 f"({dx}, {dy})")
+            seen[dx, dy] = i
+            offsets.append(OffsetClass(id=i, dx=dx, dy=dy))
+        channels = pairs["channels"].split(",")
+        unknown = [name for name in channels if name not in CHANNEL_IDS]
+        if unknown:
+            raise ValueError(f"unknown channels {unknown} in channels={pairs['channels']}")
+        if len(set(channels)) != len(channels):
+            raise ValueError(f"duplicate channels in channels={pairs['channels']}")
         # a forged frame_count costs no more than the entries the file holds
         frame_files = ([pairs[f"frame_{i}"] for i in range(frame_count)]
                        if "frame_0" in pairs else [])
@@ -584,7 +621,7 @@ def read_manifest(path) -> DatasetManifest:
         return DatasetManifest(
             patch_size=patch_size,
             stride=stride,
-            channels=pairs["channels"].split(","),
+            channels=channels,
             offsets=offsets,
             tau=tau,
             fill=fill,

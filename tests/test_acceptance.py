@@ -236,15 +236,14 @@ def _flow_corpus(seed, count):
                                width=EXPERIMENT["width"], height=EXPERIMENT["height"],
                                object_count=EXPERIMENT["objects"],
                                noise_amplitude=EXPERIMENT["noise"])
-    return list(pipeline.add_flow_channels(synth.generate_sequence(config),
-                                           workers=pipeline.worker_count()))
+    return list(pipeline.add_flow_channels(synth.generate_sequence(config)))
 
 
 def _train_and_evaluate(train_frames, test_frames, channels):
     offsets = generate_offsets(9, 32, 16, 45.0)
     x, y, _, _ = pipeline.patch_arrays(train_frames, offsets, EXPERIMENT["patch"],
                                        EXPERIMENT["stride"], tau=DEFAULT_TAU,
-                                       channels=channels, workers=pipeline.worker_count())
+                                       channels=channels)
     net = model.build_model(model.ModelConfig(channels=tuple(channels),
                                               seed=EXPERIMENT["model_seed"]))
     net, history = model.train(net, x, y, model.TrainConfig(

@@ -39,16 +39,16 @@ class TestParseChannels:
 class TestWorkerCount:
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("MMREG_THREADS", "2")
-        assert cli.worker_count() == 2
+        assert pipeline.worker_count() == 2
 
     def test_auto(self, monkeypatch):
         monkeypatch.setenv("MMREG_THREADS", "0")
-        assert cli.worker_count() >= 1
+        assert pipeline.worker_count() >= 1
 
     def test_invalid_rejected(self, monkeypatch):
         monkeypatch.setenv("MMREG_THREADS", "lots")
         with pytest.raises(ValueError, match="MMREG_THREADS"):
-            cli.worker_count()
+            pipeline.worker_count()
 
 
 class TestSynth:
@@ -122,13 +122,20 @@ class TestFlowWorkers:
                 "--objects", 6)
             middle.write_bytes((other / "frame_00000.mmf").read_bytes())
         capsys.readouterr()
-        monkeypatch.setenv("MMREG_THREADS", "2")
-        threads_before = threading.active_count()
-        assert run("flow", "--in-dir", src, "--out", tmp_path / "dst") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert "frame_00002.mmf" in err
-        assert threading.active_count() == threads_before
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MMREG_THREADS", threads)
+            threads_before = threading.active_count()
+            dst = tmp_path / f"dst{threads}"
+            assert run("flow", "--in-dir", src, "--out", dst) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert "frame_00002.mmf" in err
+            assert threading.active_count() == threads_before
+            # frames 0 and 1 were written before the failure, but not into dst
+            assert list(dst.iterdir()) == []
+        before = {p.name: p.read_bytes() for p in src.iterdir()}
+        assert run("flow", "--in-dir", src, "--out", src) == 1  # in place
+        assert {p.name: p.read_bytes() for p in src.iterdir()} == before
 
 
 class TestThreadCountDeterminism:
@@ -411,6 +418,28 @@ class TestConfigFile:
         config.write_text("bogus=1\n")
         assert run("synth", "--config", config, "--out", tmp_path / "o") == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("seed=5\nframes=abc\n")
+        assert run("synth", "--config", config, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: config key 'frames': ")
+        assert "'abc'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_byte_names_file_and_offset(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_bytes(b"seed=5\nkinds=ell\xffipse\n")
+        assert run("synth", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (f"error: {config}: byte 0xff at byte offset 16 "
+                                           "is not UTF-8\n")
+
+    def test_repeated_key_names_line(self, tmp_path, capsys):
+        config = tmp_path / "conf.txt"
+        config.write_text("seed=5\nframes=4\nseed=6\n")
+        assert run("synth", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {config}:3: repeated key 'seed'\n"
 
 
 class TestHelp:

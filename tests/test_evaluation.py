@@ -1,12 +1,14 @@
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from mmreg import evaluation, model
+from mmreg import evaluation, model, pipeline
 from mmreg.evaluation import (ConfusionMatrix, EvalReport, emit_report, evaluate_run,
-                              mean_diagonal_accuracy, overall_accuracy,
-                              read_confusion_csv, render_patch_map, write_confusion_csv)
+                              mean_diagonal_accuracy, overall_accuracy, read_confusion_csv,
+                              render_heatmap, render_patch_map, write_confusion_csv)
 from mmreg.offsets import generate_offsets
 from mmreg.synth import SceneConfig, generate_sequence
 
@@ -141,11 +143,14 @@ class TestEvaluateRun:
         assert r1.temporal_accuracy == r2.temporal_accuracy
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_report_independent_of_workers(self, workers):
+    def test_report_independent_of_workers(self, monkeypatch, workers):
         net, frames, offsets = make_eval_fixture()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MMREG_THREADS", "1")
         r1 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
-        r2 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0,
-                          workers=workers)
+        monkeypatch.setenv("MMREG_THREADS", str(workers))
+        assert pipeline.blas_workers() == workers
+        r2 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
         assert r1.patch_cm == r2.patch_cm
         assert r1.image_cm == r2.image_cm
         assert r1.temporal_accuracy == r2.temporal_accuracy
@@ -169,11 +174,45 @@ class TestEvaluateRun:
             return real(the_net, patches)
 
         monkeypatch.setattr(evaluation, "predict_batch", failing)
+        monkeypatch.setenv("MMREG_THREADS", "2")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert pipeline.blas_workers() == 2
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="classifier failed"):
-            evaluate_run(net, frames, offsets, k_values=[1], stride=32, tau=0.0, workers=2)
+            evaluate_run(net, frames, offsets, k_values=[1], stride=32, tau=0.0)
         assert threading.active_count() == threads_before
         assert len(calls) < len(frames) * len(offsets)  # the queue was cancelled
+
+    def test_pool_follows_blas_threads(self, monkeypatch, tmp_path):
+        # two CPUs: under OpenBLAS's default of two BLAS threads the pairs run
+        # on the calling thread; with one BLAS thread, on two pool threads
+        net, frames, offsets = make_eval_fixture()
+        real = evaluation.predict_batch
+        callers = set()
+
+        def recording(the_net, patches):
+            callers.add(threading.get_ident())
+            time.sleep(0.01)  # so that a second pool thread takes the next pair
+            return real(the_net, patches)
+
+        monkeypatch.setattr(evaluation, "predict_batch", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for name in ("MMREG_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        reports = {}
+        for setting in ("default", "pinned"):
+            if setting == "pinned":
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+                monkeypatch.setenv("MMREG_THREADS", "2")
+            callers.clear()
+            report = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
+            out = tmp_path / setting
+            emit_report(report, out)
+            reports[setting] = (callers.copy(), {p.name: p.read_bytes() for p in out.iterdir()})
+        assert reports["default"][0] == {threading.get_ident()}
+        assert len(reports["pinned"][0]) == 2
+        assert threading.get_ident() not in reports["pinned"][0]
+        assert reports["pinned"][1] == reports["default"][1]
 
     def test_channel_mismatch_rejected(self):
         net, frames, offsets = make_eval_fixture()
@@ -193,6 +232,34 @@ class TestEvaluateRun:
         wrong = generate_offsets(7, 16, 8, 45.0)
         with pytest.raises(ValueError, match="offset table"):
             evaluate_run(net, frames, wrong, k_values=[1], stride=32, tau=0.0)
+
+
+def loop_patch_map(grid):
+    """render_patch_map as it was, one cell at a time: the reference."""
+    cell = evaluation.PATCH_MAP_CELL
+    rows, cols = grid.shape
+    img = np.zeros((rows * cell, cols * cell, 3), dtype=np.uint8)
+    for i in range(rows):
+        for j in range(cols):
+            class_id = int(grid[i, j])
+            img[i * cell:(i + 1) * cell, j * cell:(j + 1) * cell] = (
+                evaluation.FILTERED_COLOR if class_id < 0
+                else evaluation.PALETTE[class_id % len(evaluation.PALETTE)])
+    return img
+
+
+def loop_heatmap(cm):
+    """render_heatmap as it was, one cell at a time: the reference."""
+    cell = evaluation.HEATMAP_CELL
+    norm = cm.counts / np.maximum(cm.counts.sum(axis=1, keepdims=True), 1)
+    n = cm.n_classes
+    img = np.zeros((n * cell, n * cell, 3), dtype=np.uint8)
+    for i in range(n):
+        for j in range(n):
+            v = float(norm[i, j])
+            img[i * cell:(i + 1) * cell, j * cell:(j + 1) * cell] = (
+                int(round(255 * v)), int(round(64 * v)), int(round(255 * (1 - v))))
+    return img
 
 
 class TestReportEmission:
@@ -242,6 +309,20 @@ class TestReportEmission:
                             grid_shape=(1, 1))
         with pytest.raises(ValueError, match="empty report"):
             emit_report(report, tmp_path / "out")
+
+    def test_images_same_bytes_as_cell_loops(self):
+        rng = np.random.default_rng(3)
+        for shape in [(8, 25), (1, 1), (3, 0), (5, 7)]:
+            grid = rng.integers(-1, 20, size=shape)
+            img, ref = render_patch_map(grid), loop_patch_map(grid)
+            assert img.shape == ref.shape and img.tobytes() == ref.tobytes()
+        for trial in range(20):
+            n = int(rng.integers(1, 10))
+            counts = rng.integers(0, 1 + 10 ** int(rng.integers(0, 4)), size=(n, n))
+            counts[rng.integers(0, n)] = 0  # a class with no samples
+            cm = ConfusionMatrix(n, counts)
+            img, ref = render_heatmap(cm), loop_heatmap(cm)
+            assert img.shape == ref.shape and img.tobytes() == ref.tobytes(), trial
 
     def test_temporal_table_layout(self, tmp_path):
         report = self.make_report()

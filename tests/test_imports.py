@@ -1,7 +1,11 @@
 """The runtime dependency is numpy alone: every module of the package
-imports only the standard library, numpy and the package itself."""
+imports only the standard library, numpy and the package itself. And
+mmreg.pipeline alone sizes thread pools: no callable takes a worker count
+but its bounded_map primitive."""
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -20,3 +24,17 @@ def test_imports_only_stdlib_numpy_and_mmreg(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert imported <= ALLOWED, f"{path.name} imports {sorted(imported - ALLOWED)}"
+
+
+def test_only_bounded_map_takes_workers():
+    takers = []
+    for path in MODULES:
+        module = importlib.import_module(f"mmreg.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported from elsewhere
+            members = vars(obj).items() if inspect.isclass(obj) else []
+            for qualname, fn in [(name, obj)] + [(f"{name}.{m}", f) for m, f in members]:
+                if inspect.isfunction(fn) and "workers" in inspect.signature(fn).parameters:
+                    takers.append(f"{module.__name__}.{qualname}")
+    assert takers == ["mmreg.pipeline.bounded_map"]

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -8,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from mmreg import model, nn
+from mmreg import model, nn, pipeline
 from mmreg.pipeline import FormatError
 from helpers import central_diff_grad, max_rel_error
 
@@ -258,7 +259,7 @@ class TestTrainBlocks:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert model.train_blocks() == blocks
+        assert pipeline.blas_workers() == blocks
 
 
     def test_train_identical_across_blocks(self, monkeypatch):
@@ -282,7 +283,7 @@ class TestBlockedTrainErrors:
     def two_blocks(self, monkeypatch):
         monkeypatch.setenv("MMREG_THREADS", "2")
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert model.train_blocks() == 2
+        assert pipeline.blas_workers() == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
     def test_divergence_raises(self):
@@ -480,6 +481,17 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"{path.name}: non-finite weight .* in {name} "
                                               f"at byte offset {at}$"):
+            model.load_checkpoint(path)
+
+    def test_non_utf8_config_byte_rejected_with_offset(self, tmp_path):
+        path = tmp_path / "model.mmrc"
+        model.save_checkpoint(model.build_model(TINY), path)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"channels=Gr") + len("channels=")
+        data[at] = 0xC7  # a lead byte followed by 'r', not a continuation byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: byte 0xc7 at byte "
+                                              f"offset {at} is not UTF-8$"):
             model.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -171,8 +171,9 @@ def flow_channels_serial(frames, alpha, iterations, clamp):
 
 
 class TestAddFlowChannels:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_matches_serial_loop(self, workers):
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_matches_serial_loop(self, monkeypatch, threads):
+        monkeypatch.setenv("MMREG_THREADS", threads)
         frames = generate_sequence(SceneConfig(seed=4, frame_count=5, width=48, height=32,
                                                object_count=6))
         # frame 2 brings its own Gr, which is kept, not derived from R,G,B
@@ -180,7 +181,7 @@ class TestAddFlowChannels:
         frames[2] = frames[2].with_channels({"Gr": gray})
         want = flow_channels_serial(frames, alpha=0.5, iterations=30, clamp=4.0)
         got = list(pipeline.add_flow_channels(iter(frames), alpha=0.5, iterations=30,
-                                              clamp=4.0, workers=workers))
+                                              clamp=4.0))
         assert [f.channel_names for f in got] == [f.channel_names for f in want]
         for g, w in zip(got, want):
             assert all(g.plane(n).tobytes() == w.plane(n).tobytes() for n in w.channel_names)
@@ -355,12 +356,14 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="lower tau"):
             build_dataset([frame], offsets, p=16, s=16, tau=0.01)
 
-    def test_worker_order_matches_serial(self):
+    def test_worker_order_matches_serial(self, monkeypatch):
         rng = np.random.default_rng(19)
         frames = [self.make_frame(rng, height=48, width=48) for _ in range(4)]
         offsets = generate_offsets(3, 8, 4, 0.0)
-        serial = list(iter_patch_samples(frames, offsets, 16, 16, 0.0, workers=1))
-        parallel = list(iter_patch_samples(frames, offsets, 16, 16, 0.0, workers=3))
+        monkeypatch.setenv("MMREG_THREADS", "1")
+        serial = list(iter_patch_samples(frames, offsets, 16, 16, 0.0))
+        monkeypatch.setenv("MMREG_THREADS", "3")
+        parallel = list(iter_patch_samples(frames, offsets, 16, 16, 0.0))
         assert [(s.frame_index, s.label, s.origin) for s in serial] == \
                [(s.frame_index, s.label, s.origin) for s in parallel]
 
@@ -446,9 +449,10 @@ class TestPatchGridOracle:
     @pytest.mark.parametrize("fill", [0.0, 0.5])
     @pytest.mark.parametrize("tau", [0.0, pipeline.DEFAULT_TAU])
     @pytest.mark.parametrize("p,s", [(6, 4), (6, 6), (5, 8)])
-    def test_same_bytes_as_old_loops(self, sel, fill, tau, p, s):
+    def test_same_bytes_as_old_loops(self, monkeypatch, sel, fill, tau, p, s):
         frames, offsets = self.frames(), self.offsets()
-        new = list(iter_patch_samples(frames, offsets, p, s, tau, fill, sel, workers=2))
+        monkeypatch.setenv("MMREG_THREADS", "2")
+        new = list(iter_patch_samples(frames, offsets, p, s, tau, fill, sel))
         old = [sample for index, frame in enumerate(frames)
                for sample in old_frame_samples(index, frame, offsets, p, s, tau, fill, sel)]
         assert 0 < len(new) == len(old)
@@ -461,9 +465,10 @@ class TestPatchGridOracle:
         assert new_x.tobytes() == old_x.tobytes() and new_y.tobytes() == old_y.tobytes()
         old_index = np.array([b.frame_index for b in old], dtype=np.int64)
         old_origins = np.array([b.origin for b in old], dtype=np.int64)
-        for workers in (1, 2, 3):
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MMREG_THREADS", threads)
             x, labels, index, origins = pipeline.patch_arrays(frames, offsets, p, s, tau, fill,
-                                                              sel, workers)
+                                                              sel)
             assert x.tobytes() == old_x.tobytes() and labels.tobytes() == old_y.tobytes()
             assert index.tobytes() == old_index.tobytes()
             assert origins.tobytes() == old_origins.tobytes()
@@ -570,6 +575,49 @@ class TestManifestRoundTrip:
         path = tmp_path / "manifest.txt"
         write_manifest(manifest, path)
         with pytest.raises(FormatError, match=re.escape(str(path)) + ": " + match):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (("offset_2=", "offset_3=-2,0\noffset_2="), "entry offset_3 beyond n_classes 3"),
+        (("n_classes=3", "n_classes=2"), "entry offset_2 beyond n_classes 2"),
+        (("n_classes=3\noffset_0=0,0\noffset_1=4,0\noffset_2=-4,0", "n_classes=0"),
+         "n_classes 0 below 2"),
+        (("offset_2=", "offset_2=0,0\n#"), r"offset_0 and offset_2 both shift by \(0, 0\)"),
+        (("channels=Gr,L", "channels=Gr,Zq"), r"unknown channels \['Zq'\] in channels=Gr,Zq"),
+        (("channels=Gr,L", "channels=L,Gr,L"), "duplicate channels in channels=L,Gr,L"),
+        (("channels=Gr,L", "channels="), r"unknown channels \[''\] in channels="),
+    ])
+    def test_table_entries_rejected_with_path(self, tmp_path, edit, match):
+        manifest = DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L"],
+            offsets=generate_offsets(3, 8, 4, 0.0), tau=0.0, fill=0.0, seed=0,
+            frame_count=1, patch_count=1)
+        path = tmp_path / "manifest.txt"
+        write_manifest(manifest, path)
+        text = path.read_text()
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1], 1))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {match}$"):
+            read_manifest(path)
+
+    def test_repeated_key_rejected_with_line(self, tmp_path):
+        manifest = DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L"],
+            offsets=generate_offsets(3, 8, 4, 0.0), tau=0.0, fill=0.0, seed=0,
+            frame_count=1, patch_count=1)
+        path = tmp_path / "manifest.txt"
+        write_manifest(manifest, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + ["n_classes=2"]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{len(lines) + 1}: "
+                                              "repeated key 'n_classes'$"):
+            read_manifest(path)
+
+    def test_non_utf8_byte_rejected_with_offset(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(b"format=mmreg-manifest-1\nsplit=tr\xe9in\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: byte 0xe9 at byte "
+                                              "offset 32 is not UTF-8$"):
             read_manifest(path)
 
     def test_missing_key_rejected(self, tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from mmreg import cli, model
 from mmreg.offsets import generate_offsets
-from mmreg.pipeline import (DatasetManifest, Frame, parse_key_values, read_frame, read_manifest,
+from mmreg.pipeline import (DatasetManifest, Frame, read_frame, read_key_values, read_manifest,
                             write_frame, write_manifest)
 
 _, SUBCOMMANDS = cli.build_parser()
@@ -93,7 +93,7 @@ def every_value_forged(test):
 def config_reader(command):
     """What main does with a --config file for command, short of running it."""
     def read(path):
-        pairs = parse_key_values(path.read_text(), source=str(path))
+        pairs = read_key_values(path)
         return cli._typed_config_defaults(SUBCOMMANDS[command], pairs, str(path))
     return read
 
