@@ -160,9 +160,6 @@ def cmd_dataset(args) -> int:
     in_dir = Path(args.in_dir)
     paths = _frame_paths(in_dir)
     offsets = generate_offsets(args.classes, args.major, args.minor, args.rot)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     frames = _read_frames(paths)
     first = next(frames)
     channels = first.channel_names
@@ -171,6 +168,9 @@ def cmd_dataset(args) -> int:
                                       args.tau, args.fill).sum())
     if count == 0:
         raise ValueError(f"variance filter (tau={args.tau}) dropped every patch; lower tau")
+    # out is made only now, so a failed count leaves no directory behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = pipeline.DatasetManifest(
         patch_size=args.p, stride=args.s, channels=channels, offsets=offsets,
@@ -406,6 +406,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a backstop: size flags should be refused by their validators
+        # before anything this large is allocated
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

@@ -170,8 +170,11 @@ class _BatchWork:
 
     def map(self, fn, items) -> list:
         """[fn(item) for item in items], the first on this thread and the
-        rest on the pool. Every call has ended when this returns or raises;
-        the first error in item order is raised."""
+        rest on the pool, or all in order on this thread without a pool.
+        Every call has ended when this returns or raises; the first error
+        in item order is raised."""
+        if self.pool is None:
+            return [fn(item) for item in items]
         first, *rest = items
         futures = [self.pool.submit(fn, item) for item in rest]
         try:
@@ -195,7 +198,9 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
     input-gradient taps. Each row of those results has the same bits
     whatever block its sample is in. The dense layer, the loss and every
     kernel and bias gradient are single whole-batch calls, so the result
-    does not depend on the block count.
+    does not depend on the block count. The three kernel-and-bias calls
+    are spread over work's threads, the heaviest on this one; only the
+    thread a call runs on changes, not its arrays or reduction order.
     """
     n = x.shape[0]
     if work is None:
@@ -234,8 +239,18 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
         d_input[lo:hi] = d
 
     work.map(backward, zip(bounds, winners))
-    conv_grads = [nn.conv2d_backward(a[:n], layer, u[:n], _cols=cols[:n], input_grad=False)[1]
-                  for layer, a, cols, u in zip(layers, inputs, work.cols, work.z)]
+
+    def param_grads(i):
+        return nn.conv2d_backward(inputs[i][:n], layers[i], work.z[i][:n],
+                                  _cols=work.cols[i][:n], input_grad=False)[1]
+
+    # heaviest GEMM first, so that with two threads the calling thread takes
+    # conv1 and the pool thread conv0 then conv2 (equal halves by default)
+    order = sorted(range(len(layers)),
+                   key=lambda i: -work.cols[i][:n].size * layers[i].out_channels)
+    conv_grads = [None] * len(layers)
+    for i, grads in zip(order, work.map(param_grads, order)):
+        conv_grads[i] = grads
     return loss, conv_grads, d_dense, d_input
 
 
@@ -258,8 +273,9 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     Deterministic per seed: the per-epoch shuffle and the within-batch
     reduction order are fixed. Each batch runs in blas_workers() patch
     blocks on a thread pool that lives for this call, over buffers sized
-    once for the largest batch; the results do not depend on the block
-    count. Returns (net, per-epoch mean loss).
+    once for the largest batch, and its three whole-batch kernel-gradient
+    calls are spread over the same threads; the results do not depend on
+    the thread count. Returns (net, per-epoch mean loss).
     """
     config.validate()
     if x.ndim != 4 or x.shape[0] == 0:
@@ -324,14 +340,6 @@ def predict_batch(net: Network, patches: np.ndarray) -> tuple[np.ndarray, np.nda
         ids[start:start + chunk.shape[0]] = p.argmax(axis=1)
         probs[start:start + chunk.shape[0]] = p
     return ids, probs
-
-
-def predict_patch(net: Network, patch: np.ndarray) -> tuple[int, np.ndarray]:
-    """Predicted class id and probability vector for one (p, p, C) patch."""
-    if patch.ndim != 3:
-        raise ValueError(f"expected a (p, p, C) patch, got shape {patch.shape}")
-    ids, probs = predict_batch(net, patch[None])
-    return int(ids[0]), probs[0]
 
 
 @dataclass

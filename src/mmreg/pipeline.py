@@ -591,6 +591,10 @@ def read_manifest(path) -> DatasetManifest:
         frame_count = int(pairs["frame_count"])
         if frame_count < 0:
             raise ValueError(f"negative frame_count {frame_count}")
+        # mmreg dataset refuses to write a dataset without patches
+        patch_count = int(pairs["patch_count"])
+        if patch_count < 1:
+            raise ValueError(f"patch_count {patch_count} below 1")
         for prefix, count_key, count in (("offset_", "n_classes", n_classes),
                                          ("frame_", "frame_count", frame_count)):
             beyond = next((key for key in pairs if key.startswith(prefix)
@@ -630,7 +634,7 @@ def read_manifest(path) -> DatasetManifest:
             frames_dir=pairs.get("frames_dir", "."),
             frame_files=frame_files,
             frame_count=frame_count,
-            patch_count=int(pairs["patch_count"]),
+            patch_count=patch_count,
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing manifest key {exc}") from exc

@@ -1,11 +1,17 @@
+import os
 import re
+import resource
 import shutil
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmreg
 from mmreg import cli, model, pipeline
 from mmreg.cli import main, parse_channels
 from mmreg.pipeline import Frame, read_frame, read_manifest, write_frame
@@ -220,6 +226,7 @@ class TestDataset:
                    "--major", 8, "--minor", 4)
         assert code == 1
         assert "lower tau" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 def edited_manifest(corpus, dest, edits):
@@ -440,6 +447,27 @@ class TestConfigFile:
         config.write_text("seed=5\nframes=4\nseed=6\n")
         assert run("synth", "--config", config, "--out", tmp_path / "o") == 1
         assert capsys.readouterr().err == f"error: {config}:3: repeated key 'seed'\n"
+
+
+class TestMemoryBackstop:
+    def test_memory_error_is_one_error_line(self, tmp_path):
+        # the address-space cap applies in the child process only
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        src = Path(mmreg.__file__).resolve().parents[1]
+        # one BLAS thread keeps OpenBLAS's own buffers small under the cap
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        result = subprocess.run(
+            [sys.executable, "-m", "mmreg.cli", "synth", "--out", tmp_path / "o",
+             "--width", "100000", "--height", "100000", "--frames", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: out of memory")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestHelp:

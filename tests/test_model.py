@@ -39,7 +39,7 @@ class TestBuildModel:
         config = model.ModelConfig(channels=("R", "G", "B", "L", "U", "V"))
         net = model.build_model(config)
         patch = np.random.default_rng(0).random((32, 32, 6), dtype=np.float32)
-        _, probs = model.predict_patch(net, patch)
+        _, (probs,) = model.predict_batch(net, patch[None])
         assert probs.shape == (9,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -276,14 +276,37 @@ class TestTrainBlocks:
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+@pytest.fixture
+def two_blocks(monkeypatch):
+    monkeypatch.setenv("MMREG_THREADS", "2")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert pipeline.blas_workers() == 2
+
+
+@pytest.mark.usefixtures("two_blocks")
+class TestKernelGradThreads:
+    def test_heaviest_on_calling_thread(self, monkeypatch):
+        # default net: conv1's kernel-gradient GEMM costs twice conv0's or conv2's
+        net = model.build_model(model.ModelConfig(seed=2))
+        real = nn.conv2d_backward
+        calls = []
+
+        def record(x, params, upstream, **kwargs):
+            if kwargs.get("input_grad") is False:
+                main = threading.current_thread() is threading.main_thread()
+                calls.append((main, [l is params for l in net.conv_layers].index(True)))
+            return real(x, params, upstream, **kwargs)
+
+        monkeypatch.setattr(nn, "conv2d_backward", record)
+        x = np.random.default_rng(4).random((6, 32, 32, 4), dtype=np.float32)
+        model.train(net, x, np.arange(6) % 9, model.TrainConfig(batch_size=6, epochs=1))
+        assert [i for main, i in calls if main] == [1]
+        assert [i for main, i in calls if not main] == [0, 2]
+
+
+@pytest.mark.usefixtures("two_blocks")
 class TestBlockedTrainErrors:
     """With two blocks, errors leave model.train and its pool's threads exit."""
-
-    @pytest.fixture(autouse=True)
-    def two_blocks(self, monkeypatch):
-        monkeypatch.setenv("MMREG_THREADS", "2")
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert pipeline.blas_workers() == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
     def test_divergence_raises(self):
@@ -298,23 +321,28 @@ class TestBlockedTrainErrors:
     @pytest.mark.parametrize("failing", ["calling thread", "pool thread"])
     def test_block_error_propagates(self, monkeypatch, failing):
         x, y = separable_dataset(np.random.default_rng(13), per_class=10)
-        real = nn.relu_backward
-        callers = set()
+        # a block's relu backward, then a whole-batch kernel-gradient call
+        for name, fails in [("relu_backward", lambda kwargs: True),
+                            ("conv2d_backward", lambda kwargs: kwargs.get("input_grad") is False)]:
+            real = getattr(nn, name)
+            callers = set()
 
-        def flaky(z, upstream):
-            main = threading.current_thread() is threading.main_thread()
-            callers.add(main)
-            if main == (failing == "calling thread"):
-                raise RuntimeError("block failed")
-            return real(z, upstream)
+            def flaky(*args, **kwargs):
+                if fails(kwargs):
+                    main = threading.current_thread() is threading.main_thread()
+                    callers.add(main)
+                    if main == (failing == "calling thread"):
+                        raise RuntimeError("block failed")
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(nn, "relu_backward", flaky)
-        threads_before = threading.active_count()
-        with pytest.raises(RuntimeError, match="block failed"):
-            model.train(model.build_model(TINY), x, y, model.TrainConfig(
-                batch_size=10, epochs=1, seed=3))
-        assert callers == {True, False}  # both blocks ran
-        assert threading.active_count() == threads_before
+            threads_before = threading.active_count()
+            with monkeypatch.context() as patch, \
+                    pytest.raises(RuntimeError, match="block failed"):
+                patch.setattr(nn, name, flaky)
+                model.train(model.build_model(TINY), x, y, model.TrainConfig(
+                    batch_size=10, epochs=1, seed=3))
+            assert callers == {True, False}, name  # both threads ran
+            assert threading.active_count() == threads_before, name
 
 
 def predict_batch_single_pass(net, patches, chunk_size=512):
@@ -351,7 +379,7 @@ class TestPredict:
         net.dense_weights = np.full_like(net.dense_weights, -1.0)
         net.dense_weights[2, :] = 1.0
         rng = np.random.default_rng(10)
-        cls, probs = model.predict_patch(net, tiny_patches(rng, 1)[0])
+        (cls,), (probs,) = model.predict_batch(net, tiny_patches(rng, 1))
         assert cls == 2
         assert probs.argmax() == 2
 
@@ -359,10 +387,10 @@ class TestPredict:
         net = model.build_model(TINY)
         rng = np.random.default_rng(11)
         patch = tiny_patches(rng, 1)[0]
-        a = model.predict_patch(net, patch)
-        b = model.predict_patch(net, patch.copy())
-        assert a[0] == b[0]
-        np.testing.assert_array_equal(a[1], b[1])
+        (a_id,), (a_probs,) = model.predict_batch(net, patch[None])
+        (b_id,), (b_probs,) = model.predict_batch(net, patch.copy()[None])
+        assert a_id == b_id
+        np.testing.assert_array_equal(a_probs, b_probs)
 
     def test_batch_matches_single(self):
         net = model.build_model(TINY)
@@ -370,7 +398,7 @@ class TestPredict:
         patches = tiny_patches(rng, 5)
         ids, probs = model.predict_batch(net, patches)
         for i in range(5):
-            ci, pi = model.predict_patch(net, patches[i])
+            (ci,), (pi,) = model.predict_batch(net, patches[i][None])
             assert ids[i] == ci
             # float32 matmul accumulation order differs across batch shapes
             np.testing.assert_allclose(probs[i], pi, atol=1e-6)

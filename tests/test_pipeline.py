@@ -557,6 +557,18 @@ class TestManifestRoundTrip:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {match}$"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("patch_count", [0, -5])
+    def test_patch_count_below_one_rejected_with_path(self, tmp_path, patch_count):
+        manifest = DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L"],
+            offsets=generate_offsets(3, 8, 4, 0.0), tau=0.0, fill=0.0, seed=0,
+            frame_count=1, patch_count=patch_count)
+        path = tmp_path / "manifest.txt"
+        write_manifest(manifest, path)
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(path))}: patch_count {patch_count} below 1$"):
+            read_manifest(path)
+
     @pytest.mark.parametrize("key, value, match", [
         ("patch_size", 0, "patch size must be >= 1, got 0"),
         ("stride", 0, "stride must be >= 1, got 0"),
