@@ -58,13 +58,6 @@ class ConfusionMatrix:
         self.counts[true_class, predicted_class] += 1
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.n_classes != self.n_classes:
-            raise ValueError(f"cannot merge {other.n_classes}-class into "
-                             f"{self.n_classes}-class matrix")
-        self.counts += other.counts
-        return self
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -110,7 +103,6 @@ class EvalReport:
     image_cm: ConfusionMatrix
     temporal_accuracy: dict[int, float]
     no_decision_frames: int
-    grid_shape: tuple[int, int]
     # first evaluated frame's patch-grid predictions per true class; -1 marks
     # cells dropped by the variance filter
     patch_maps: dict[int, np.ndarray] = field(default_factory=dict)
@@ -149,7 +141,6 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
     histograms: dict[int, list[VoteHistogram]] = {off.id: [] for off in offsets}
     patch_maps: dict[int, np.ndarray] = {}
     no_decision = 0
-    grid_shape = None
 
     def classify(pair):
         offset, frame_index = pair
@@ -164,7 +155,6 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
     pairs = [(offset, i) for offset in offsets for i in range(len(frames))]
     with closing(bounded_map(classify, pairs, blas_workers())) as results:
         for (offset, frame_index), (keep, ids) in zip(pairs, results):
-            grid_shape = keep.shape
             frame_class, hist = vote_frame(ids, n_classes)
             patch_cm.counts[offset.id] += hist.counts  # the frame's per-class patch votes
             histograms[offset.id].append(hist)
@@ -189,8 +179,7 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
         temporal[k] = mean_diagonal_accuracy(cm_k)
 
     return EvalReport(patch_cm=patch_cm, image_cm=image_cm, temporal_accuracy=temporal,
-                      no_decision_frames=no_decision, grid_shape=grid_shape,
-                      patch_maps=patch_maps)
+                      no_decision_frames=no_decision, patch_maps=patch_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +193,6 @@ def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
     for row in cm.counts:
         lines.append(",".join(str(int(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_confusion_csv(path) -> ConfusionMatrix:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty confusion CSV")
-    n_classes = len(lines[0].split(","))
-    if len(lines) != n_classes + 1:
-        raise ValueError(f"{path}: expected {n_classes} rows after header, "
-                         f"got {len(lines) - 1}")
-    counts = np.array([[int(v) for v in line.split(",")] for line in lines[1:]],
-                      dtype=np.int64)
-    return ConfusionMatrix(n_classes, counts)
 
 
 def write_temporal_csv(temporal: dict[int, float], path) -> None:

@@ -92,8 +92,7 @@ class Network:
 
     def astype(self, dtype) -> "Network":
         layers = [nn.ConvParams(kernels=c.kernels.astype(dtype),
-                                biases=c.biases.astype(dtype),
-                                stride=c.stride, padding=c.padding)
+                                biases=c.biases.astype(dtype), padding=c.padding)
                   for c in self.conv_layers]
         return Network(config=self.config, conv_layers=layers,
                        dense_weights=self.dense_weights.astype(dtype))
@@ -121,8 +120,7 @@ def build_model(config: ModelConfig) -> Network:
     for i, shape in enumerate(_kernel_shapes(config)):
         kernels = nn.he_init(shape, seed=config.seed + i)
         layers.append(nn.ConvParams(kernels=kernels,
-                                    biases=np.zeros(shape[0], dtype=np.float32),
-                                    stride=1, padding=pad))
+                                    biases=np.zeros(shape[0], dtype=np.float32), padding=pad))
     dense = nn.he_init((config.n_classes, config.dense_inputs), seed=config.seed + 3)
     return Network(config=config, conv_layers=layers, dense_weights=dense)
 
@@ -156,7 +154,7 @@ class _BatchWork:
         h, w, _ = sample_shape
         for layer in net.conv_layers:
             k = layer.kernel_size
-            h, w = (nn._conv_out_size(side, k, layer.padding, layer.stride) for side in (h, w))
+            h, w = (nn._conv_out_size(side, k, layer.padding) for side in (h, w))
             self.cols.append(np.empty((capacity, h * w, k * k * layer.in_channels), dtype))
             dtype = np.result_type(dtype, layer.kernels, layer.biases)
             self.z.append(np.empty((capacity, h, w, layer.out_channels), dtype))

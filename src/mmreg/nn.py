@@ -2,9 +2,10 @@
 
 Images are (H, W, C) arrays, batches (B, H, W, C); every op accepts either
 and returns the matching rank. float32 is the working precision; pass
-float64 arrays when running gradient checks. All functions except
-sgd_step, which updates its arrays in place, are pure, and all are
-bit-deterministic for identical inputs.
+float64 arrays when running gradient checks. Every function is
+bit-deterministic for identical inputs. Each is pure, with two kinds of
+exception: sgd_step updates its arrays in place, and conv2d_forward and
+_im2col write into the cols= and out= buffers a caller passes them.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ def _require(condition: bool, message: str) -> None:
 
 @dataclass
 class ConvParams:
-    """One convolution layer: kernels (K, k, k, Cin), biases (K,)."""
+    """One stride-1 convolution layer: kernels (K, k, k, Cin), biases (K,),
+    and `padding` zeros on each side of the input's height and width."""
 
     kernels: Array
     biases: Array
-    stride: int = 1
     padding: int = 0
 
     def __post_init__(self):
@@ -42,7 +43,6 @@ class ConvParams:
         _require(k_h % 2 == 1, f"kernel size must be odd, got {k_h}")
         _require(self.biases.shape == (k_count,),
                  f"biases shape {self.biases.shape} does not match kernel count {k_count}")
-        _require(self.stride >= 1, f"stride must be >= 1, got {self.stride}")
         _require(self.padding >= 0, f"padding must be >= 0, got {self.padding}")
 
     @property
@@ -94,12 +94,10 @@ def he_init(shape, seed: int, dtype=np.float32) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _conv_out_size(size: int, k: int, pad: int, stride: int) -> int:
+def _conv_out_size(size: int, k: int, pad: int) -> int:
     span = size + 2 * pad - k
     _require(span >= 0, f"input size {size} too small for kernel {k} with padding {pad}")
-    _require(span % stride == 0,
-             f"non-integral output size: ({size} + 2*{pad} - {k}) not divisible by stride {stride}")
-    return span // stride + 1
+    return span + 1
 
 
 def _as_batch(x: Array) -> tuple[Array, bool]:
@@ -109,7 +107,7 @@ def _as_batch(x: Array) -> tuple[Array, bool]:
     return x, False
 
 
-def _im2col(padded: Array, k: int, stride: int, out_h: int, out_w: int,
+def _im2col(padded: Array, k: int, out_h: int, out_w: int,
             out: Array | None = None) -> Array:
     """Lower padded (B,Hp,Wp,C) to (B, out_h*out_w, k*k*C) patch rows,
     written into out (a C-contiguous array of that shape) when given.
@@ -118,7 +116,7 @@ def _im2col(padded: Array, k: int, stride: int, out_h: int, out_w: int,
     """
     b, _, _, c = padded.shape
     view = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
-    view = view[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)  # (B, out_h, out_w, k, k, C)
+    view = view.transpose(0, 1, 2, 4, 5, 3)  # (B, out_h, out_w, k, k, C)
     if out is None:
         return np.ascontiguousarray(view).reshape(b, out_h * out_w, k * k * c)
     out.reshape(view.shape)[...] = view
@@ -130,8 +128,8 @@ def _conv_geometry(x: Array, params: ConvParams):
     _require(c == params.in_channels,
              f"input channel count {c} does not match kernel depth {params.in_channels} "
              f"(input {x.shape[1:]}, kernels {params.kernels.shape})")
-    out_h = _conv_out_size(h, params.kernel_size, params.padding, params.stride)
-    out_w = _conv_out_size(w, params.kernel_size, params.padding, params.stride)
+    out_h = _conv_out_size(h, params.kernel_size, params.padding)
+    out_w = _conv_out_size(w, params.kernel_size, params.padding)
     return out_h, out_w
 
 
@@ -145,7 +143,7 @@ def conv2d_forward(x: Array, params: ConvParams, cols: Array | None = None,
                    out: Array | None = None) -> Array:
     """Cross-correlate (.,H,W,Cin) with kernels -> (.,H',W',K).
 
-    Output H' = (H + 2*pad - k)/stride + 1 (exact division required).
+    Output H' = H + 2*pad - k + 1, and likewise W'.
     Fast path lowers patches to a matrix product; equivalence with the
     naive loop is covered by conv2d_forward_reference. Batched callers
     may pass C-contiguous buffers to fill: cols (B, H'*W', k*k*Cin) for
@@ -155,7 +153,7 @@ def conv2d_forward(x: Array, params: ConvParams, cols: Array | None = None,
     xb, squeeze = _as_batch(x)
     out_h, out_w = _conv_geometry(xb, params)
     k, n_k = params.kernel_size, params.out_channels
-    cols = _im2col(_pad_input(xb, params.padding), k, params.stride, out_h, out_w, out=cols)
+    cols = _im2col(_pad_input(xb, params.padding), k, out_h, out_w, out=cols)
     w_mat = params.kernels.reshape(n_k, -1).T  # (k*k*Cin, K)
     y = np.matmul(cols, w_mat, out=None if out is None else out.reshape(cols.shape[:2] + (n_k,)))
     y += params.biases
@@ -167,7 +165,7 @@ def conv2d_forward_reference(x: Array, params: ConvParams) -> Array:
     """Naive six-nested-loop convolution; the oracle for the fast path."""
     _require(x.ndim == 3, f"reference path takes a single (H,W,C) image, got shape {x.shape}")
     out_h, out_w = _conv_geometry(x[None], params)
-    k, pad, stride = params.kernel_size, params.padding, params.stride
+    k, pad = params.kernel_size, params.padding
     h, w, c = x.shape
     n_k = params.out_channels
     x_list = x.tolist()
@@ -179,11 +177,11 @@ def conv2d_forward_reference(x: Array, params: ConvParams) -> Array:
             for f in range(n_k):
                 acc = b_list[f]
                 for ky in range(k):
-                    iy = oy * stride + ky - pad
+                    iy = oy + ky - pad
                     if iy < 0 or iy >= h:
                         continue
                     for kx in range(k):
-                        ix = ox * stride + kx - pad
+                        ix = ox + kx - pad
                         if ix < 0 or ix >= w:
                             continue
                         for ci in range(c):
@@ -212,12 +210,12 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
     _require(ub.shape == expected,
              f"upstream grad shape {upstream.shape} does not match forward output {expected}")
 
-    k, pad, stride = params.kernel_size, params.padding, params.stride
+    k, pad = params.kernel_size, params.padding
     u_mat = ub.reshape(xb.shape[0], out_h * out_w, params.out_channels)
     grads = None
     if param_grads:
         if _cols is None:
-            _cols = _im2col(_pad_input(xb, pad), k, stride, out_h, out_w)
+            _cols = _im2col(_pad_input(xb, pad), k, out_h, out_w)
         dw_mat = np.tensordot(_cols, u_mat, axes=([0, 1], [0, 1]))  # (k*k*Cin, K)
         grads = ConvGrads(kernels=dw_mat.T.reshape(params.kernels.shape),
                           biases=u_mat.sum(axis=(0, 1)))
@@ -230,12 +228,9 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
     u_flat = u_mat.reshape(b * out_h * out_w, params.out_channels)
     d_padded = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=u_mat.dtype)
     for ki in range(k):
-        i_stop = ki + stride * (out_h - 1) + 1
         for kj in range(k):
-            j_stop = kj + stride * (out_w - 1) + 1
             tap = u_flat @ params.kernels[:, ki, kj, :]  # (B*P, Cin)
-            d_padded[:, ki:i_stop:stride, kj:j_stop:stride, :] += \
-                tap.reshape(b, out_h, out_w, c)
+            d_padded[:, ki:ki + out_h, kj:kj + out_w, :] += tap.reshape(b, out_h, out_w, c)
     dx = d_padded[:, pad:pad + h, pad:pad + w, :]
     if squeeze:
         dx = dx[0]

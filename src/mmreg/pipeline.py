@@ -61,6 +61,8 @@ class Frame:
             plane = np.asarray(plane, dtype=np.float32)
             if plane.ndim != 2:
                 raise ValueError(f"channel {name} must be a 2-d plane, got shape {plane.shape}")
+            if plane.size == 0:
+                raise ValueError(f"channel {name} is empty, got shape {plane.shape}")
             if shape is None:
                 shape = plane.shape
             elif plane.shape != shape:

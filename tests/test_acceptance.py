@@ -33,7 +33,7 @@ def _replace_param(net, index, value):
         layers.append(nn.ConvParams(
             kernels=value if index == 2 * i else layer.kernels,
             biases=value if index == 2 * i + 1 else layer.biases,
-            stride=layer.stride, padding=layer.padding))
+            padding=layer.padding))
     dense = value if index == 2 * len(net.conv_layers) else net.dense_weights
     return model.Network(net.config, layers, dense)
 

@@ -1,7 +1,8 @@
 """The runtime dependency is numpy alone: every module of the package
 imports only the standard library, numpy and the package itself. And
 mmreg.pipeline alone sizes thread pools: no callable takes a worker count
-but its bounded_map primitive."""
+but its bounded_map primitive. No code lives in the package for tests
+alone: every definition is used there, bar a short allow-list."""
 
 import ast
 import importlib
@@ -38,3 +39,53 @@ def test_only_bounded_map_takes_workers():
                 if inspect.isfunction(fn) and "workers" in inspect.signature(fn).parameters:
                     takers.append(f"{module.__name__}.{qualname}")
     assert takers == ["mmreg.pipeline.bounded_map"]
+
+
+# Defined in the package but called only from outside it, each for its reason.
+NORTH_STAR = "an acceptance name the north star keeps callable with the same results"
+UNREFERENCED_OK = {
+    "forward_shapes": NORTH_STAR,
+    "dense_softmax_xent": NORTH_STAR,
+    "extract_patches": NORTH_STAR,
+    "build_dataset": NORTH_STAR,
+    "collect_arrays": NORTH_STAR,
+    "conv2d_forward_reference": "the naive-loop oracle the im2col convolution is tested against",
+}
+
+
+def _definitions(tree):
+    """(name, def node) of each module-level function and class, and of each
+    non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (member.name.startswith("__") and member.name.endswith("__"))):
+                    yield member.name, member
+
+
+def _references(node):
+    """Every name and attribute name used under node, with repeats."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_definition_is_used_in_the_package():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    uses = {}
+    for tree in trees:
+        for name in _references(tree):
+            uses[name] = uses.get(name, 0) + 1
+    unused = set()
+    for tree in trees:
+        for name, node in _definitions(tree):
+            own = sum(ref == name for ref in _references(node))  # recursion is no use
+            if uses.get(name, 0) - own == 0:
+                unused.add(name)
+    assert unused - set(UNREFERENCED_OK) == set(), "only tests use these; delete them"
+    assert set(UNREFERENCED_OK) <= unused, "now used in the package; drop from the allow-list"

@@ -158,7 +158,7 @@ class TestTrain:
 
         def loss_of_k0(k):
             layers = [nn.ConvParams(kernels=k, biases=net.conv_layers[0].biases,
-                                    stride=1, padding=1)] + net.conv_layers[1:]
+                                    padding=1)] + net.conv_layers[1:]
             probe = model.Network(net.config, layers, net.dense_weights)
             return model._batch_loss_and_grads(probe, x, y)[0]
 

@@ -53,6 +53,12 @@ class TestFrame:
         with pytest.raises(ValueError, match="unknown channel"):
             Frame({"Q": np.zeros((4, 4))})
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_plane_rejected(self, shape):
+        # numpy's own min/max error is a ValueError too, so match the text
+        with pytest.raises(ValueError, match=re.escape(f"channel L is empty, got shape {shape}")):
+            Frame({"L": np.zeros(shape, np.float32)})
+
 
 class TestMmfRoundTrip:
     def test_round_trip_bit_identical(self, tmp_path):
