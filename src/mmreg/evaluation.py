@@ -1,5 +1,6 @@
-"""Confusion matrices, the mean-diagonal accuracy metric, evaluation runs
-over frame sets, and report artifacts (CSV tables + PPM images).
+"""Confusion matrices, the mean-diagonal accuracy metric, vote aggregation,
+evaluation runs over frame sets, and report artifacts (CSV tables + PPM
+images).
 
 The headline metric is the mean of the row-normalized confusion-matrix
 diagonal (macro-averaged per-class recall); raw accuracy is reported
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Network, VoteHistogram, predict_batch, require_channels, temporal_fuse, vote_frame
+from .model import Network, predict_batch, require_channels
 from .offsets import OffsetClass
 from .pipeline import Frame, blas_workers, bounded_map, patch_grid
 
@@ -93,6 +94,40 @@ def overall_accuracy(cm: ConfusionMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Vote aggregation
+# ---------------------------------------------------------------------------
+
+
+def vote_frame(ids: np.ndarray, n_classes: int) -> tuple[int | None, np.ndarray]:
+    """Majority vote over one frame's patch class ids; returns the class and
+    the per-class vote counts. Ties go to the lowest class id.
+
+    With zero surviving patches the frame gets the distinguished
+    "no-decision" outcome (None) instead of a class.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n_classes):
+        raise ValueError(f"prediction outside [0, {n_classes})")
+    counts = np.bincount(ids, minlength=n_classes)
+    return (int(counts.argmax()) if ids.size else None), counts
+
+
+def temporal_fuse(votes: np.ndarray) -> int | None:
+    """Sum the (k, classes) vote counts of k consecutive frames and take the
+    argmax.
+
+    Ties go to the lowest class id; k frames without votes fuse to the
+    no-decision outcome (None).
+    """
+    if len(votes) == 0:
+        raise ValueError("need at least one frame of votes to fuse")
+    summed = votes.sum(axis=0)
+    if summed.sum() == 0:
+        return None
+    return int(summed.argmax())
+
+
+# ---------------------------------------------------------------------------
 # Evaluation runs
 # ---------------------------------------------------------------------------
 
@@ -136,9 +171,8 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
 
     p = net.config.patch_size
     n_classes = net.config.n_classes
-    patch_cm = ConfusionMatrix(n_classes)
     image_cm = ConfusionMatrix(n_classes)
-    histograms: dict[int, list[VoteHistogram]] = {off.id: [] for off in offsets}
+    votes = np.zeros((n_classes, len(frames), n_classes), dtype=np.int64)  # [offset, frame, class]
     patch_maps: dict[int, np.ndarray] = {}
     no_decision = 0
 
@@ -146,18 +180,14 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
         offset, frame_index = pair
         windows, keep = patch_grid(frames[frame_index], offset, p, stride, tau, fill,
                                    net.config.channels)
-        kept = windows[keep]
-        ids = predict_batch(net, kept)[0] if kept.shape[0] else np.empty(0, dtype=np.int64)
-        return keep, ids
+        return keep, predict_batch(net, windows[keep])[0]
 
     # (offset, frame) pairs are independent; results come back in pair
     # order, and closing joins the pool's threads when the loop raises
     pairs = [(offset, i) for offset in offsets for i in range(len(frames))]
     with closing(bounded_map(classify, pairs, blas_workers())) as results:
         for (offset, frame_index), (keep, ids) in zip(pairs, results):
-            frame_class, hist = vote_frame(ids, n_classes)
-            patch_cm.counts[offset.id] += hist.counts  # the frame's per-class patch votes
-            histograms[offset.id].append(hist)
+            frame_class, votes[offset.id, frame_index] = vote_frame(ids, n_classes)
             if frame_class is None:
                 no_decision += 1
             else:
@@ -171,13 +201,13 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
     for k in k_values:
         cm_k = ConfusionMatrix(n_classes)
         for offset in offsets:
-            hists = histograms[offset.id]
-            for start in range(len(hists) - k + 1):
-                fused = temporal_fuse(hists[start:start + k])
+            for start in range(len(frames) - k + 1):
+                fused = temporal_fuse(votes[offset.id, start:start + k])
                 if fused is not None:
                     cm_k.accumulate(offset.id, fused)
         temporal[k] = mean_diagonal_accuracy(cm_k)
 
+    patch_cm = ConfusionMatrix(n_classes, votes.sum(axis=1))
     return EvalReport(patch_cm=patch_cm, image_cm=image_cm, temporal_accuracy=temporal,
                       no_decision_frames=no_decision, patch_maps=patch_maps)
 

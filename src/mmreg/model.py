@@ -1,4 +1,4 @@
-"""Network assembly, SGD training, patch inference and vote aggregation.
+"""Network assembly, SGD training, patch inference and checkpoints.
 
 The classifier is three conv+relu+maxpool stages feeding a bias-free dense
 softmax layer: with patch size p and same-padding convs, spatial dims halve
@@ -11,9 +11,9 @@ import math
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -313,7 +313,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Inference and vote aggregation
+# Inference
 # ---------------------------------------------------------------------------
 
 
@@ -338,51 +338,6 @@ def predict_batch(net: Network, patches: np.ndarray) -> tuple[np.ndarray, np.nda
         ids[start:start + chunk.shape[0]] = p.argmax(axis=1)
         probs[start:start + chunk.shape[0]] = p
     return ids, probs
-
-
-@dataclass
-class VoteHistogram:
-    """Per-class patch vote counts for one frame."""
-
-    counts: np.ndarray
-    total: int = field(default=-1)
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.total < 0:
-            self.total = int(self.counts.sum())
-        if int(self.counts.sum()) != self.total or (self.counts < 0).any():
-            raise ValueError(f"histogram counts {self.counts} do not sum to total {self.total}")
-
-
-def vote_frame(predictions: Iterable[int], n_classes: int) -> tuple[int | None, VoteHistogram]:
-    """Majority vote over patch predictions; ties go to the lowest class id.
-
-    With zero surviving patches the frame gets the distinguished
-    "no-decision" outcome (None) instead of a class.
-    """
-    preds = np.asarray(list(predictions), dtype=np.int64)
-    if preds.size and (preds.min() < 0 or preds.max() >= n_classes):
-        raise ValueError(f"prediction outside [0, {n_classes})")
-    counts = np.bincount(preds, minlength=n_classes)
-    hist = VoteHistogram(counts=counts, total=int(preds.size))
-    if preds.size == 0:
-        return None, hist
-    return int(counts.argmax()), hist
-
-
-def temporal_fuse(histograms: Sequence[VoteHistogram]) -> int | None:
-    """Sum vote histograms from consecutive frames and take the argmax.
-
-    Ties go to the lowest class id; all-empty histograms fuse to the
-    no-decision outcome (None).
-    """
-    if not histograms:
-        raise ValueError("need at least one histogram to fuse")
-    summed = np.sum([h.counts for h in histograms], axis=0)
-    if summed.sum() == 0:
-        return None
-    return int(summed.argmax())
 
 
 # ---------------------------------------------------------------------------

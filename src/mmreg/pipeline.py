@@ -516,15 +516,6 @@ def build_dataset(frames: list[Frame], offsets: list[OffsetClass], p: int, s: in
     return samples, manifest
 
 
-def collect_arrays(samples: list[PatchSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into (X, labels) arrays for training."""
-    if not samples:
-        raise ValueError("no samples to collect")
-    x = np.stack([s.data for s in samples]).astype(np.float32, copy=False)
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
-
-
 # ---------------------------------------------------------------------------
 # Manifest serialization (flat key=value text)
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import threading
 import time
@@ -8,7 +9,8 @@ import pytest
 from mmreg import evaluation, model, pipeline
 from mmreg.evaluation import (ConfusionMatrix, EvalReport, emit_report, evaluate_run,
                               mean_diagonal_accuracy, overall_accuracy, render_heatmap,
-                              render_patch_map, write_confusion_csv)
+                              render_patch_map, temporal_fuse, vote_frame,
+                              write_confusion_csv)
 from mmreg.offsets import generate_offsets
 from mmreg.synth import SceneConfig, generate_sequence
 
@@ -70,6 +72,61 @@ class TestMeanDiagonalAccuracy:
         assert overall_accuracy(ConfusionMatrix(2, counts)) == pytest.approx(70.0)
 
 
+class TestVoting:
+    def test_unanimous(self):
+        cls, counts = vote_frame(np.array([2, 2, 2, 2]), n_classes=9)
+        assert cls == 2
+        assert counts.shape == (9,) and counts.dtype == np.int64
+        assert counts[2] == counts.sum() == 4
+
+    def test_plurality(self):
+        preds = [0] * 5 + [1] * 3 + [2]
+        cls, _ = vote_frame(np.array(preds), n_classes=9)
+        assert cls == 0
+
+    def test_tie_goes_to_lowest_id(self):
+        cls, _ = vote_frame(np.array([0, 0, 1, 1, 0, 1, 1, 0]), n_classes=9)
+        assert cls == 0
+
+    def test_no_patches_is_no_decision(self):
+        cls, counts = vote_frame(np.empty(0, dtype=np.int64), n_classes=9)
+        assert cls is None
+        assert counts.shape == (9,) and counts.sum() == 0
+
+    def test_permutation_invariant(self):
+        rng = np.random.default_rng(13)
+        preds = rng.integers(0, 9, size=50)
+        a, ca = vote_frame(preds, n_classes=9)
+        b, cb = vote_frame(preds[::-1], n_classes=9)
+        assert a == b
+        np.testing.assert_array_equal(ca, cb)
+
+    @pytest.mark.parametrize("preds", [[0, 9], [-1, 2]])
+    def test_out_of_range_rejected(self, preds):
+        with pytest.raises(ValueError, match="prediction outside"):
+            vote_frame(np.array(preds), n_classes=9)
+
+
+class TestTemporalFuse:
+    def test_single_frame_equals_vote(self):
+        cls, counts = vote_frame(np.array([1, 1, 3]), n_classes=4)
+        assert temporal_fuse(counts[None]) == cls
+
+    def test_tie_across_frames(self):
+        assert temporal_fuse(np.array([[3, 5, 0], [5, 3, 0]])) == 0
+
+    def test_identical_histograms_match_single(self):
+        votes = np.array([[1, 4, 2]] * 3)
+        assert temporal_fuse(votes) == temporal_fuse(votes[:1]) == 1
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            temporal_fuse(np.zeros((0, 3), dtype=np.int64))
+
+    def test_all_empty_is_no_decision(self):
+        assert temporal_fuse(np.zeros((2, 3), dtype=np.int64)) is None
+
+
 def make_eval_fixture(n_frames=4, n_classes=5):
     cfg = SceneConfig(seed=21, frame_count=n_frames, width=160, height=96,
                       object_count=10, noise_amplitude=0.0)
@@ -85,18 +142,19 @@ def make_eval_fixture(n_frames=4, n_classes=5):
 class TestEvaluateRun:
     def test_perfect_classifier_stub(self, monkeypatch):
         net, frames, offsets = make_eval_fixture()
-        truth = {"current": 0}
+        # each pool thread runs patch_grid, then predict_batch, for one pair
+        truth = threading.local()
 
         def perfect(the_net, patches):
-            ids = np.full(patches.shape[0], truth["current"], dtype=np.int64)
+            ids = np.full(patches.shape[0], truth.current, dtype=np.int64)
             probs = np.zeros((patches.shape[0], the_net.config.n_classes))
-            probs[:, truth["current"]] = 1.0
+            probs[:, truth.current] = 1.0
             return ids, probs
 
         real = evaluation.patch_grid
 
         def tracking(frame, offset, p, s, tau, fill, channels):
-            truth["current"] = offset.id
+            truth.current = offset.id
             return real(frame, offset, p, s, tau, fill, channels)
 
         monkeypatch.setattr(evaluation, "predict_batch", perfect)
@@ -207,6 +265,33 @@ class TestEvaluateRun:
         assert len(reports["pinned"][0]) == 2
         assert threading.get_ident() not in reports["pinned"][0]
         assert reports["pinned"][1] == reports["default"][1]
+
+    def test_report_bytes_pinned(self, tmp_path):
+        # the vote bookkeeping must keep report files byte-identical; the
+        # digests were recorded with numpy 2.4 and its bundled OpenBLAS 0.3.31
+        # on x86-64, and another BLAS build may round differently
+        report = evaluate_run(*make_eval_fixture(), k_values=[1, 2], stride=32, tau=0.0)
+        written = emit_report(report, tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in written}
+        blank_map = "d0db9d8be3fe3070c1bf5757287a6166f1a895dae48ee088042de9654cd5a10a"
+        assert digests == {
+            "patch_confusion.csv":
+                "0c36a2d6bd55531dc7ab099c70bbcc81821b210866c33d301bbfdd61e54b1d98",
+            "image_confusion.csv":
+                "e5b89d5b41394a2e01a3ffc23084eb05366d202a241283a08b24d25ff7301451",
+            "temporal.csv": "23c7882223420c3c154240bc74da068f03fa9979a1bc04913c872fbdd99afbe0",
+            "summary.csv": "772e31a99fdf8279b70bbc419ef0784599c082fbafe813f9a2313658d9087efa",
+            "confusion_heatmap.ppm":
+                "eb164dac3538cd26afad29d68cb1ae22b1caae16665a2a22ad36757a2696fc2e",
+            "patch_map_class0.ppm": blank_map,
+            "patch_map_class1.ppm":
+                "f814d95294f0867484fe9f22470f3c4e69d8592ae3c6759a49dbb171e0aeb3ed",
+            "patch_map_class2.ppm": blank_map,
+            "patch_map_class3.ppm":
+                "7598b820b3919ecfce3fc6986dc04fa03a882c22e59acd8ecf594f9170af404c",
+            "patch_map_class4.ppm": blank_map,
+        }
 
     def test_channel_mismatch_rejected(self):
         net, frames, offsets = make_eval_fixture()

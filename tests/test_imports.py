@@ -48,7 +48,6 @@ UNREFERENCED_OK = {
     "dense_softmax_xent": NORTH_STAR,
     "extract_patches": NORTH_STAR,
     "build_dataset": NORTH_STAR,
-    "collect_arrays": NORTH_STAR,
     "conv2d_forward_reference": "the naive-loop oracle the im2col convolution is tested against",
 }
 

@@ -392,6 +392,12 @@ class TestPredict:
         assert a_id == b_id
         np.testing.assert_array_equal(a_probs, b_probs)
 
+    def test_zero_patches(self):
+        net = model.build_model(TINY)
+        ids, probs = model.predict_batch(net, tiny_patches(np.random.default_rng(15), 0))
+        assert ids.shape == (0,) and ids.dtype == np.int64
+        assert probs.shape == (0, TINY.n_classes)
+
     def test_batch_matches_single(self):
         net = model.build_model(TINY)
         rng = np.random.default_rng(12)
@@ -402,59 +408,6 @@ class TestPredict:
             assert ids[i] == ci
             # float32 matmul accumulation order differs across batch shapes
             np.testing.assert_allclose(probs[i], pi, atol=1e-6)
-
-
-class TestVoting:
-    def test_unanimous(self):
-        cls, hist = model.vote_frame([2, 2, 2, 2], n_classes=9)
-        assert cls == 2
-        assert hist.counts[2] == hist.total == 4
-
-    def test_plurality(self):
-        preds = [0] * 5 + [1] * 3 + [2]
-        cls, _ = model.vote_frame(preds, n_classes=9)
-        assert cls == 0
-
-    def test_tie_goes_to_lowest_id(self):
-        cls, _ = model.vote_frame([0, 0, 1, 1, 0, 1, 1, 0], n_classes=9)
-        assert cls == 0
-
-    def test_no_patches_is_no_decision(self):
-        cls, hist = model.vote_frame([], n_classes=9)
-        assert cls is None
-        assert hist.total == 0
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(13)
-        preds = rng.integers(0, 9, size=50)
-        a, ha = model.vote_frame(preds, n_classes=9)
-        b, hb = model.vote_frame(preds[::-1], n_classes=9)
-        assert a == b
-        np.testing.assert_array_equal(ha.counts, hb.counts)
-
-
-class TestTemporalFuse:
-    def test_single_frame_equals_vote(self):
-        preds = [1, 1, 3]
-        cls, hist = model.vote_frame(preds, n_classes=4)
-        assert model.temporal_fuse([hist]) == cls
-
-    def test_tie_across_frames(self):
-        h1 = model.VoteHistogram(counts=np.array([3, 5, 0]))
-        h2 = model.VoteHistogram(counts=np.array([5, 3, 0]))
-        assert model.temporal_fuse([h1, h2]) == 0
-
-    def test_identical_histograms_match_single(self):
-        h = model.VoteHistogram(counts=np.array([1, 4, 2]))
-        assert model.temporal_fuse([h, h, h]) == model.temporal_fuse([h]) == 1
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            model.temporal_fuse([])
-
-    def test_all_empty_is_no_decision(self):
-        h = model.VoteHistogram(counts=np.zeros(3, dtype=np.int64))
-        assert model.temporal_fuse([h, h]) is None
 
 
 class TestCheckpoint:

@@ -7,7 +7,7 @@ import pytest
 from mmreg import flow, pipeline
 from mmreg.offsets import OffsetClass, generate_offsets
 from mmreg.pipeline import (DatasetManifest, FormatError, Frame, PatchSample,
-                            build_dataset, collect_arrays, extract_patches,
+                            build_dataset, extract_patches,
                             iter_patch_samples, patch_grid, read_frame, read_manifest,
                             rgb_to_gray, shift_plane, write_frame, write_manifest)
 from mmreg.synth import SceneConfig, generate_sequence
@@ -466,9 +466,8 @@ class TestPatchGridOracle:
                [(b.label, b.frame_index, b.origin) for b in old]
         assert b"".join(a.data.tobytes() for a in new) == \
                b"".join(b.data.tobytes() for b in old)
-        new_x, new_y = collect_arrays(new)
-        old_x, old_y = collect_arrays(old)
-        assert new_x.tobytes() == old_x.tobytes() and new_y.tobytes() == old_y.tobytes()
+        old_x = np.stack([b.data for b in old])
+        old_y = np.array([b.label for b in old], dtype=np.int64)
         old_index = np.array([b.frame_index for b in old], dtype=np.int64)
         old_origins = np.array([b.origin for b in old], dtype=np.int64)
         for threads in ("1", "2", "3"):
