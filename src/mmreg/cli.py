@@ -248,6 +248,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    k_values = _parse_int_list(args.k_list, "--k-list")
     checkpoint_path = Path(args.checkpoint)
     if not checkpoint_path.is_file():
         raise ValueError(f"checkpoint {checkpoint_path} does not exist")
@@ -262,7 +263,6 @@ def cmd_eval(args) -> int:
         raise ValueError(f"manifest patch size {manifest.patch_size} differs from "
                          f"checkpoint patch size {net.config.patch_size}")
     frames = list(_read_frames(_manifest_frame_paths(manifest_path, manifest, args.frames)))
-    k_values = _parse_int_list(args.k_list, "--k-list")
 
     report = evaluation.evaluate_run(net, frames, manifest.offsets, k_values,
                                      stride=manifest.stride, tau=manifest.tau,

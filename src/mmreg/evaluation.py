@@ -2,6 +2,10 @@
 evaluation runs over frame sets, and report artifacts (CSV tables + PPM
 images).
 
+An evaluation run counts patch votes in one votes[offset, frame, class]
+array, and every report number is a reduction of it; a frame decision is a
+one-frame window of the one fusion rule, temporal_fuse.
+
 The headline metric is the mean of the row-normalized confusion-matrix
 diagonal (macro-averaged per-class recall); raw accuracy is reported
 alongside it in the summary.
@@ -52,13 +56,6 @@ class ConfusionMatrix:
                 raise ValueError("confusion counts must be non-negative")
             self.counts = counts
 
-    def accumulate(self, true_class: int, predicted_class: int) -> "ConfusionMatrix":
-        for name, value in (("true", true_class), ("predicted", predicted_class)):
-            if not 0 <= value < self.n_classes:
-                raise ValueError(f"{name} class {value} outside [0, {self.n_classes})")
-        self.counts[true_class, predicted_class] += 1
-        return self
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -98,33 +95,27 @@ def overall_accuracy(cm: ConfusionMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 
-def vote_frame(ids: np.ndarray, n_classes: int) -> tuple[int | None, np.ndarray]:
-    """Majority vote over one frame's patch class ids; returns the class and
-    the per-class vote counts. Ties go to the lowest class id.
-
-    With zero surviving patches the frame gets the distinguished
-    "no-decision" outcome (None) instead of a class.
-    """
+def vote_frame(ids: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-class vote counts of one frame's patch class ids."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= n_classes):
         raise ValueError(f"prediction outside [0, {n_classes})")
-    counts = np.bincount(ids, minlength=n_classes)
-    return (int(counts.argmax()) if ids.size else None), counts
+    return np.bincount(ids, minlength=n_classes)
 
 
-def temporal_fuse(votes: np.ndarray) -> int | None:
-    """Sum the (k, classes) vote counts of k consecutive frames and take the
-    argmax.
+def temporal_fuse(votes: np.ndarray, k: int) -> np.ndarray:
+    """Decide every window of k consecutive frames of a (..., frames, classes)
+    vote count array; returns (..., frames - k + 1) class ids.
 
-    Ties go to the lowest class id; k frames without votes fuse to the
-    no-decision outcome (None).
+    A decision is the argmax of the window's summed counts, ties going to the
+    lowest class id; a window without votes gets the no-decision id -1.
     """
-    if len(votes) == 0:
-        raise ValueError("need at least one frame of votes to fuse")
-    summed = votes.sum(axis=0)
-    if summed.sum() == 0:
-        return None
-    return int(summed.argmax())
+    n_frames = votes.shape[-2]
+    if not 1 <= k <= n_frames:
+        raise ValueError(f"temporal window {k} outside [1, {n_frames}] frames")
+    cumulative = np.cumsum(np.insert(votes, 0, 0, axis=-2), axis=-2)
+    summed = cumulative[..., k:, :] - cumulative[..., :-k, :]
+    return np.where(summed.any(axis=-1), summed.argmax(axis=-1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +134,50 @@ class EvalReport:
     patch_maps: dict[int, np.ndarray] = field(default_factory=dict)
 
 
+def _decision_cm(decisions: np.ndarray) -> ConfusionMatrix:
+    """Confusion matrix of (classes, windows) decisions whose row i is true
+    class i; no-decision windows (-1) stay out."""
+    n_classes = len(decisions)
+    pairs = (np.arange(n_classes)[:, None] * n_classes + decisions)[decisions >= 0]
+    return ConfusionMatrix(n_classes, np.bincount(pairs, minlength=n_classes ** 2)
+                           .reshape(n_classes, n_classes))
+
+
 def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[OffsetClass],
                  k_values: Sequence[int], stride: int, tau: float,
                  fill: float = 0.0) -> EvalReport:
-    """Classify every surviving patch of every frame under every offset,
-    vote per frame, and fuse votes over windows of consecutive frames.
+    """Classify every surviving patch of every frame under every offset and
+    count the votes in votes[offset, frame, class].
+
+    Every report number is a reduction of that array: the patch matrix sums
+    it over frames, the image matrix and the no-decision count come from
+    temporal_fuse(votes, 1), since a frame decision is a one-frame window,
+    and each temporal accuracy from temporal_fuse(votes, k).
 
     The (offset, frame) pairs are classified on blas_workers() threads;
     the report does not depend on the thread count.
 
     Every frame is assumed to hold its true offset for the whole window
-    when fusing temporally. Frames whose patches are all filtered out
-    count as no-decision and stay out of the confusion matrices.
+    when fusing temporally. Frames or windows whose patches are all
+    filtered out count as no-decision and stay out of the confusion
+    matrices.
     """
     frames = list(frames)
     if not frames:
         raise ValueError("no frames to evaluate")
-    if len(offsets) != net.config.n_classes:
-        raise ValueError(f"offset table has {len(offsets)} classes but the model "
-                         f"predicts {net.config.n_classes}")
+    n_classes = net.config.n_classes
+    offset_ids = [offset.id for offset in offsets]
+    if offset_ids != list(range(n_classes)):
+        raise ValueError(f"offset table ids {offset_ids} must be 0..{n_classes - 1} in order, "
+                         f"one per class the model predicts")
     for k in k_values:
-        if k < 1:
-            raise ValueError(f"temporal window must be >= 1, got {k}")
-        if k > len(frames):
-            raise ValueError(f"temporal window {k} exceeds frame count {len(frames)}")
+        if not 1 <= k <= len(frames):
+            raise ValueError(f"temporal window {k} outside [1, {len(frames)}] frames")
     require_channels(net.config.channels, frames[0].channel_names)
 
     p = net.config.patch_size
-    n_classes = net.config.n_classes
-    image_cm = ConfusionMatrix(n_classes)
     votes = np.zeros((n_classes, len(frames), n_classes), dtype=np.int64)  # [offset, frame, class]
     patch_maps: dict[int, np.ndarray] = {}
-    no_decision = 0
 
     def classify(pair):
         offset, frame_index = pair
@@ -187,29 +190,19 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
     pairs = [(offset, i) for offset in offsets for i in range(len(frames))]
     with closing(bounded_map(classify, pairs, blas_workers())) as results:
         for (offset, frame_index), (keep, ids) in zip(pairs, results):
-            frame_class, votes[offset.id, frame_index] = vote_frame(ids, n_classes)
-            if frame_class is None:
-                no_decision += 1
-            else:
-                image_cm.accumulate(offset.id, frame_class)
+            votes[offset.id, frame_index] = vote_frame(ids, n_classes)
             if frame_index == 0:
                 grid = np.full(keep.shape, -1, dtype=np.int64)
                 grid[keep] = ids
                 patch_maps[offset.id] = grid
 
-    temporal: dict[int, float] = {}
-    for k in k_values:
-        cm_k = ConfusionMatrix(n_classes)
-        for offset in offsets:
-            for start in range(len(frames) - k + 1):
-                fused = temporal_fuse(votes[offset.id, start:start + k])
-                if fused is not None:
-                    cm_k.accumulate(offset.id, fused)
-        temporal[k] = mean_diagonal_accuracy(cm_k)
-
-    patch_cm = ConfusionMatrix(n_classes, votes.sum(axis=1))
-    return EvalReport(patch_cm=patch_cm, image_cm=image_cm, temporal_accuracy=temporal,
-                      no_decision_frames=no_decision, patch_maps=patch_maps)
+    frame_decisions = temporal_fuse(votes, 1)
+    temporal = {k: mean_diagonal_accuracy(_decision_cm(temporal_fuse(votes, k)))
+                for k in k_values}
+    return EvalReport(patch_cm=ConfusionMatrix(n_classes, votes.sum(axis=1)),
+                      image_cm=_decision_cm(frame_decisions), temporal_accuracy=temporal,
+                      no_decision_frames=int((frame_decisions < 0).sum()),
+                      patch_maps=patch_maps)
 
 
 # ---------------------------------------------------------------------------

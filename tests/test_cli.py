@@ -391,6 +391,24 @@ class TestTrainEval:
         assert code == 1
         assert "does not exist" in capsys.readouterr().err
 
+    def test_bad_k_list_reported_before_frames_are_read(self, small_corpus, tmp_path, capsys):
+        ckpt = tmp_path / "init"
+        assert run("train", "--dataset", small_corpus / "ds" / "manifest.txt", "--out", ckpt,
+                   "--channels", "Gr,L", "--filters", "2,2,2", "--kernel", 3,
+                   "--epochs", 0) == 0
+        flowed = tmp_path / "flowed"
+        shutil.copytree(small_corpus / "flowed", flowed)
+        truncated = flowed / "frame_00001.mmf"
+        truncated.write_bytes(truncated.read_bytes()[:40])
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt / "checkpoint.mmrc",
+                   "--dataset", small_corpus / "ds" / "manifest.txt", "--frames", flowed,
+                   "--k-list", "1,x", "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "--k-list" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_train_channel_fails(self, small_corpus, tmp_path, capsys):
         ds = small_corpus / "ds" / "manifest.txt"
         code = run("train", "--dataset", ds, "--out", tmp_path / "x",

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import os
+import re
 import threading
 import time
 
@@ -13,28 +15,6 @@ from mmreg.evaluation import (ConfusionMatrix, EvalReport, emit_report, evaluate
                               write_confusion_csv)
 from mmreg.offsets import generate_offsets
 from mmreg.synth import SceneConfig, generate_sequence
-
-
-class TestConfusionMatrix:
-    def test_single_accumulate(self):
-        cm = ConfusionMatrix(9).accumulate(3, 3)
-        assert cm.counts[3, 3] == 1
-        assert cm.total == 1
-
-    def test_order_independent(self):
-        rng = np.random.default_rng(0)
-        pairs = [(int(a), int(b)) for a, b in rng.integers(0, 5, size=(60, 2))]
-        cm1 = ConfusionMatrix(5)
-        cm2 = ConfusionMatrix(5)
-        for t, p in pairs:
-            cm1.accumulate(t, p)
-        for t, p in reversed(pairs):
-            cm2.accumulate(t, p)
-        assert cm1 == cm2
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            ConfusionMatrix(3).accumulate(3, 0)
 
 
 class TestMeanDiagonalAccuracy:
@@ -72,34 +52,36 @@ class TestMeanDiagonalAccuracy:
         assert overall_accuracy(ConfusionMatrix(2, counts)) == pytest.approx(70.0)
 
 
+def frame_decision(ids, n_classes):
+    """A frame's decision: its vote counts fused as a one-frame window."""
+    return int(temporal_fuse(vote_frame(ids, n_classes)[None], 1)[0])
+
+
 class TestVoting:
     def test_unanimous(self):
-        cls, counts = vote_frame(np.array([2, 2, 2, 2]), n_classes=9)
-        assert cls == 2
+        counts = vote_frame(np.array([2, 2, 2, 2]), n_classes=9)
         assert counts.shape == (9,) and counts.dtype == np.int64
         assert counts[2] == counts.sum() == 4
+        assert frame_decision([2, 2, 2, 2], 9) == 2
 
     def test_plurality(self):
-        preds = [0] * 5 + [1] * 3 + [2]
-        cls, _ = vote_frame(np.array(preds), n_classes=9)
-        assert cls == 0
+        assert frame_decision([0] * 5 + [1] * 3 + [2], 9) == 0
 
     def test_tie_goes_to_lowest_id(self):
-        cls, _ = vote_frame(np.array([0, 0, 1, 1, 0, 1, 1, 0]), n_classes=9)
-        assert cls == 0
+        assert frame_decision([0, 0, 1, 1, 0, 1, 1, 0], 9) == 0
+        assert frame_decision([4, 2, 4, 2], 9) == 2
 
     def test_no_patches_is_no_decision(self):
-        cls, counts = vote_frame(np.empty(0, dtype=np.int64), n_classes=9)
-        assert cls is None
+        counts = vote_frame(np.empty(0, dtype=np.int64), n_classes=9)
         assert counts.shape == (9,) and counts.sum() == 0
+        assert frame_decision(np.empty(0, dtype=np.int64), 9) == -1
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(13)
         preds = rng.integers(0, 9, size=50)
-        a, ca = vote_frame(preds, n_classes=9)
-        b, cb = vote_frame(preds[::-1], n_classes=9)
-        assert a == b
-        np.testing.assert_array_equal(ca, cb)
+        np.testing.assert_array_equal(vote_frame(preds, n_classes=9),
+                                      vote_frame(preds[::-1], n_classes=9))
+        assert frame_decision(preds, 9) == frame_decision(preds[::-1], 9)
 
     @pytest.mark.parametrize("preds", [[0, 9], [-1, 2]])
     def test_out_of_range_rejected(self, preds):
@@ -109,22 +91,77 @@ class TestVoting:
 
 class TestTemporalFuse:
     def test_single_frame_equals_vote(self):
-        cls, counts = vote_frame(np.array([1, 1, 3]), n_classes=4)
-        assert temporal_fuse(counts[None]) == cls
+        frames = [[1, 1, 3], [], [0, 2, 2, 0], [3]]
+        votes = np.stack([vote_frame(np.array(f, dtype=np.int64), 4) for f in frames])
+        assert temporal_fuse(votes, 1).tolist() == [1, -1, 0, 3]
 
     def test_tie_across_frames(self):
-        assert temporal_fuse(np.array([[3, 5, 0], [5, 3, 0]])) == 0
+        assert temporal_fuse(np.array([[3, 5, 0], [5, 3, 0]]), 2).tolist() == [0]
 
     def test_identical_histograms_match_single(self):
         votes = np.array([[1, 4, 2]] * 3)
-        assert temporal_fuse(votes) == temporal_fuse(votes[:1]) == 1
+        assert temporal_fuse(votes, 3).tolist() == [1]
+        assert temporal_fuse(votes, 1).tolist() == [1, 1, 1]
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            temporal_fuse(np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="temporal window 1 outside"):
+            temporal_fuse(np.zeros((0, 3), dtype=np.int64), 1)
+        with pytest.raises(ValueError, match="temporal window 0 outside"):
+            temporal_fuse(np.zeros((2, 3), dtype=np.int64), 0)
+        with pytest.raises(ValueError, match=r"temporal window 3 outside \[1, 2\]"):
+            temporal_fuse(np.zeros((2, 3), dtype=np.int64), 3)
 
     def test_all_empty_is_no_decision(self):
-        assert temporal_fuse(np.zeros((2, 3), dtype=np.int64)) is None
+        votes = np.zeros((2, 3), dtype=np.int64)
+        assert temporal_fuse(votes, 1).tolist() == [-1, -1]
+        assert temporal_fuse(votes, 2).tolist() == [-1]
+
+
+def window_fuse(votes):
+    """The fusion rule as it was, on one (k, classes) window: the reference."""
+    summed = votes.sum(axis=0)
+    return None if summed.sum() == 0 else int(summed.argmax())
+
+
+def window_confusion(votes, k):
+    """Each offset's window decisions and their confusion counts, one window
+    and one count at a time, as evaluate_run built them: the reference."""
+    n_classes, n_frames, _ = votes.shape
+    decisions = np.full((n_classes, n_frames - k + 1), -1)
+    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for offset in range(n_classes):
+        for start in range(n_frames - k + 1):
+            fused = window_fuse(votes[offset, start:start + k])
+            if fused is not None:
+                decisions[offset, start] = fused
+                counts[offset, fused] += 1
+    return decisions, counts
+
+
+class TestFusionOracle:
+    def test_same_decisions_and_counts_as_window_loops(self):
+        rng = np.random.default_rng(7)
+        ties = no_decisions = 0
+        for trial in range(40):
+            n_classes, n_frames = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+            # small counts make ties; zeroed runs of frames make empty windows
+            votes = rng.integers(0, 3, size=(n_classes, n_frames, n_classes))
+            votes *= rng.random(votes.shape) < 0.4
+            for offset in range(n_classes):
+                start = int(rng.integers(0, n_frames))
+                votes[offset, start:start + int(rng.integers(0, 3))] = 0
+            for k in range(1, n_frames + 1):
+                ref_decisions, ref_counts = window_confusion(votes, k)
+                decisions = temporal_fuse(votes, k)
+                assert decisions.tolist() == ref_decisions.tolist(), (trial, k)
+                cm = evaluation._decision_cm(decisions)
+                assert cm == ConfusionMatrix(n_classes, ref_counts), (trial, k)
+                summed = np.lib.stride_tricks.sliding_window_view(
+                    votes, k, axis=1).sum(axis=-1)
+                top = summed.max(axis=-1, keepdims=True)
+                ties += int((((summed == top).sum(axis=-1) > 1) & (top[..., 0] > 0)).sum())
+                no_decisions += int((decisions == -1).sum())
+        assert ties > 50 and no_decisions > 50
 
 
 def make_eval_fixture(n_frames=4, n_classes=5):
@@ -266,10 +303,21 @@ class TestEvaluateRun:
         assert threading.get_ident() not in reports["pinned"][0]
         assert reports["pinned"][1] == reports["default"][1]
 
-    def test_report_bytes_pinned(self, tmp_path):
+    @pytest.mark.parametrize("env", [
+        {"OPENBLAS_NUM_THREADS": "1", "MMREG_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "1", "MMREG_THREADS": "3"},
+        {},
+    ], ids=["blas1-threads1", "blas1-threads3", "unset"])
+    def test_report_bytes_pinned(self, tmp_path, monkeypatch, env):
         # the vote bookkeeping must keep report files byte-identical; the
         # digests were recorded with numpy 2.4 and its bundled OpenBLAS 0.3.31
-        # on x86-64, and another BLAS build may round differently
+        # on x86-64, and another BLAS build may round differently. The
+        # variables choose eval's pool size; BLAS itself read its thread
+        # count when it loaded
+        for name in ("OPENBLAS_NUM_THREADS", "MMREG_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         report = evaluate_run(*make_eval_fixture(), k_values=[1, 2], stride=32, tau=0.0)
         written = emit_report(report, tmp_path)
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -311,6 +359,13 @@ class TestEvaluateRun:
         wrong = generate_offsets(7, 16, 8, 45.0)
         with pytest.raises(ValueError, match="offset table"):
             evaluate_run(net, frames, wrong, k_values=[1], stride=32, tau=0.0)
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 3, 3], [0, 1, 2, 3, 7], [1, 0, 2, 3, 4]])
+    def test_offset_ids_must_be_class_ids_in_order(self, ids):
+        net, frames, offsets = make_eval_fixture(n_frames=2, n_classes=5)
+        table = [dataclasses.replace(offsets[i], id=new) for i, new in enumerate(ids)]
+        with pytest.raises(ValueError, match=re.escape(f"offset table ids {ids}")):
+            evaluate_run(net, frames, table, k_values=[1], stride=32, tau=0.0)
 
 
 def loop_patch_map(grid):
