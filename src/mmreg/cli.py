@@ -168,17 +168,17 @@ def cmd_dataset(args) -> int:
                                       args.tau, args.fill).sum())
     if count == 0:
         raise ValueError(f"variance filter (tau={args.tau}) dropped every patch; lower tau")
-    # out is made only now, so a failed count leaves no directory behind
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     manifest = pipeline.DatasetManifest(
         patch_size=args.p, stride=args.s, channels=channels, offsets=offsets,
         tau=args.tau, fill=args.fill, seed=args.seed, split=args.split,
         frames_dir=os.path.relpath(in_dir, out),
         frame_files=[p.name for p in paths],
         frame_count=len(paths), patch_count=count)
-    pipeline.write_manifest(manifest, out / "manifest.txt")
+    text = pipeline.manifest_text(manifest)
+    # out is made only now, so a failed count or manifest leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.txt").write_text(text)
     _write_run_config(args, out, extra={"patch_count": count})
     print(f"dataset: {count} patches from {len(paths)} frames x {args.classes} offsets "
           f"-> {out / 'manifest.txt'}")

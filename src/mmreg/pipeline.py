@@ -279,33 +279,6 @@ def extract_patches(frame: Frame, p: int, s: int,
             for i in range(rows) for j in range(cols)]
 
 
-def _shifted_depth(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
-                   fill: float) -> np.ndarray:
-    """patch_grid's argument checks, then the L plane shifted by offset."""
-    check_grid_params(p, s, tau, fill)
-    patch_grid_shape(frame.height, frame.width, p, s)
-    if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
-        raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
-                         f"{frame.width}x{frame.height}")
-    return shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
-
-
-def _keep_mask(shifted: np.ndarray, p: int, s: int, tau: float) -> np.ndarray:
-    """(rows, cols) mask of windows whose shifted depth has population
-    variance >= tau."""
-    return _window_view(shifted[:, :, None], p, s)[..., 0].var(axis=(2, 3)) >= tau
-
-
-def _stacked_windows(frame: Frame, shifted: np.ndarray, p: int, s: int,
-                     channels: Sequence[str]) -> np.ndarray:
-    """(rows, cols, p, p, C) window view over the channels, L replaced by
-    its shifted plane."""
-    stacked = np.empty((frame.height, frame.width, len(channels)), dtype=np.float32)
-    for col, name in enumerate(channels):
-        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
-    return _window_view(stacked, p, s)
-
-
 def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
                fill: float, channels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The patch grid of one frame under one depth offset.
@@ -315,8 +288,17 @@ def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
     window view over the stacked channels and the (rows, cols) mask of
     windows whose shifted depth has population variance >= tau.
     """
-    shifted = _shifted_depth(frame, offset, p, s, tau, fill)
-    return _stacked_windows(frame, shifted, p, s, channels), _keep_mask(shifted, p, s, tau)
+    check_grid_params(p, s, tau, fill)
+    patch_grid_shape(frame.height, frame.width, p, s)
+    if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
+        raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
+                         f"{frame.width}x{frame.height}")
+    shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
+    stacked = np.empty((frame.height, frame.width, len(channels)), dtype=np.float32)
+    for col, name in enumerate(channels):
+        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
+    keep = _window_view(shifted[:, :, None], p, s)[..., 0].var(axis=(2, 3)) >= tau
+    return _window_view(stacked, p, s), keep
 
 
 # ---------------------------------------------------------------------------
@@ -417,33 +399,23 @@ class DatasetManifest:
     patch_count: int = 0
 
 
-def _keep_masks(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
-                tau: float, fill: float) -> Iterator[list[np.ndarray]]:
-    """Each frame's patch_grid keep masks, one per offset class, mapped on
-    bounded_map."""
+def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
+                 tau: float, fill: float = DEFAULT_FILL) -> np.ndarray:
+    """Kept-window count of every (frame, offset class) pair, the sum of
+    patch_grid's keep mask, as a (frames, offsets) int64 array.
+
+    One frame per bounded_map call; frames may be a stream, of which
+    bounded_map holds 2 * worker_count() at most.
+    """
     if not offsets:
         raise ValueError("offset table is empty")
 
-    def masks(frame) -> list[np.ndarray]:
-        return [_keep_mask(_shifted_depth(frame, offset, p, s, tau, fill), p, s, tau)
+    def counts(frame: Frame) -> list[int]:
+        return [int(patch_grid(frame, offset, p, s, tau, fill, ("L",))[1].sum())
                 for offset in offsets]
 
-    return bounded_map(masks, frames, worker_count())
-
-
-def _mask_counts(masks: Iterable[list[np.ndarray]], n_offsets: int) -> np.ndarray:
-    counts = [[int(keep.sum()) for keep in frame_masks] for frame_masks in masks]
-    return np.array(counts, dtype=np.int64).reshape(-1, n_offsets)
-
-
-def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
-                 tau: float, fill: float = DEFAULT_FILL) -> np.ndarray:
-    """Kept-window count of every (frame, offset class) pair, read from the
-    keep masks of patch_grid, as a (frames, offsets) int64 array.
-
-    frames may be a stream: bounded_map holds 2 * worker_count() at most.
-    """
-    return _mask_counts(_keep_masks(frames, offsets, p, s, tau, fill), len(offsets))
+    rows = list(bounded_map(counts, frames, worker_count()))
+    return np.array(rows, dtype=np.int64).reshape(-1, len(offsets))
 
 
 def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
@@ -453,17 +425,17 @@ def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int
     offset class ids, frame indices and (n, 2) (row, col) origins.
 
     Rows run frames in index order, offset classes in table order, windows
-    row-major. A first bounded_map pass computes every keep mask, whose
-    counts size the arrays; in a second, one frame per call, each (frame,
-    offset) pair writes its windows[keep] into its own slice of them.
+    row-major. patch_counts sizes the arrays; then, one frame per
+    bounded_map call, each (frame, offset) pair takes its patch_grid and
+    writes its windows[keep] into its own slice of them. So every keep
+    mask is computed twice, once to count and once to fill.
     """
     if not frames:
         raise ValueError("no frames to cut patches from")
     if channels is not None and not channels:
         raise ValueError("channel selection is empty")
     sel = list(channels if channels is not None else frames[0].channel_names)
-    masks = list(_keep_masks(frames, offsets, p, s, tau, fill))
-    counts = _mask_counts(masks, len(offsets))
+    counts = patch_counts(frames, offsets, p, s, tau, fill)
     ends = np.cumsum(counts).reshape(counts.shape)
     n = int(counts.sum())
     x = np.empty((n, p, p, len(sel)), dtype=np.float32)
@@ -472,11 +444,10 @@ def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int
     origins = np.empty((n, 2), dtype=np.int64)
 
     def write(index: int) -> None:
-        frame = frames[index]
-        for j, (offset, keep) in enumerate(zip(offsets, masks[index])):
-            shifted = _shifted_depth(frame, offset, p, s, tau, fill)
+        for j, offset in enumerate(offsets):
+            windows, keep = patch_grid(frames[index], offset, p, s, tau, fill, sel)
             rows = slice(ends[index, j] - counts[index, j], ends[index, j])
-            x[rows] = _stacked_windows(frame, shifted, p, s, sel)[keep]
+            x[rows] = windows[keep]
             labels[rows] = offset.id
             frame_index[rows] = index
             origins[rows] = np.argwhere(keep) * s
@@ -521,26 +492,38 @@ def build_dataset(frames: list[Frame], offsets: list[OffsetClass], p: int, s: in
 # ---------------------------------------------------------------------------
 
 
-def write_manifest(manifest: DatasetManifest, path) -> None:
-    lines = [
-        "format=mmreg-manifest-1",
-        f"split={manifest.split}",
-        f"patch_size={manifest.patch_size}",
-        f"stride={manifest.stride}",
-        f"tau={manifest.tau!r}",
-        f"fill={manifest.fill!r}",
-        f"seed={manifest.seed}",
-        f"channels={','.join(manifest.channels)}",
-        f"n_classes={len(manifest.offsets)}",
+def manifest_text(manifest: DatasetManifest) -> str:
+    """The manifest as key=value lines. A value that parse_key_values would
+    not read back unchanged raises a ValueError naming its key: one that
+    str.splitlines() splits, with whitespace at either end, or holding a
+    code point that UTF-8 cannot encode (a lone surrogate)."""
+    pairs = [
+        ("format", "mmreg-manifest-1"),
+        ("split", manifest.split),
+        ("patch_size", f"{manifest.patch_size}"),
+        ("stride", f"{manifest.stride}"),
+        ("tau", f"{manifest.tau!r}"),
+        ("fill", f"{manifest.fill!r}"),
+        ("seed", f"{manifest.seed}"),
+        ("channels", ",".join(manifest.channels)),
+        ("n_classes", f"{len(manifest.offsets)}"),
     ]
-    for off in manifest.offsets:
-        lines.append(f"offset_{off.id}={off.dx},{off.dy}")
-    lines.append(f"frames_dir={manifest.frames_dir}")
-    lines.append(f"frame_count={manifest.frame_count}")
-    for i, name in enumerate(manifest.frame_files):
-        lines.append(f"frame_{i}={name}")
-    lines.append(f"patch_count={manifest.patch_count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    pairs += [(f"offset_{off.id}", f"{off.dx},{off.dy}") for off in manifest.offsets]
+    pairs += [("frames_dir", manifest.frames_dir), ("frame_count", f"{manifest.frame_count}")]
+    pairs += [(f"frame_{i}", name) for i, name in enumerate(manifest.frame_files)]
+    pairs.append(("patch_count", f"{manifest.patch_count}"))
+    for key, value in pairs:
+        if (value.strip() != value or "".join(value.splitlines()) != value
+                or value.encode(errors="replace").decode() != value):
+            raise ValueError(f"manifest {key} {value!r} would not read back: it holds a "
+                             "line break, whitespace at either end or a code point that "
+                             "UTF-8 cannot encode")
+    return "".join(f"{key}={value}\n" for key, value in pairs)
+
+
+def write_manifest(manifest: DatasetManifest, path) -> None:
+    """manifest_text to a file; nothing is written if it raises."""
+    Path(path).write_text(manifest_text(manifest))
 
 
 def decode_text(data: bytes, source, offset: int = 0) -> str:

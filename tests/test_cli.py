@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mmreg
-from mmreg import cli, model, pipeline
+from mmreg import cli, model, pipeline, synth
 from mmreg.cli import main, parse_channels
 from mmreg.pipeline import Frame, read_frame, read_manifest, write_frame
 
@@ -77,6 +77,44 @@ class TestSynth:
         text = (out / "run_config.txt").read_text()
         assert "seed=9" in text
         assert "frame_count=3" in text
+
+
+class TestDefaults:
+    def test_cli_defaults_equal_config_defaults(self):
+        # the infer benchmark and the acceptance run mix the two sets
+        _, subs = cli.build_parser()
+
+        def default(command, dest):
+            return subs[command].parser.get_default(dest)
+
+        net, fit, scene = model.ModelConfig(), model.TrainConfig(), synth.SceneConfig()
+        pairs = [
+            ("train --filters",
+             tuple(int(v) for v in default("train", "filters").split(",")), net.filters),
+            ("train --kernel", default("train", "kernel"), net.kernel_size),
+            ("train --channels", tuple(parse_channels(default("train", "channels"))),
+             net.channels),
+            ("train --lr", default("train", "lr"), fit.learning_rate),
+            ("train --momentum", default("train", "momentum"), fit.momentum),
+            ("train --epochs", default("train", "epochs"), fit.epochs),
+            ("train --batch", default("train", "batch"), fit.batch_size),
+            ("train --seed", default("train", "seed"), fit.seed),
+            ("dataset --p", default("dataset", "p"), net.patch_size),
+            ("dataset --classes", default("dataset", "classes"), net.n_classes),
+            ("synth --frames", default("synth", "frames"), scene.frame_count),
+            ("synth --width", default("synth", "width"), scene.width),
+            ("synth --height", default("synth", "height"), scene.height),
+            ("synth --objects", default("synth", "objects"), scene.object_count),
+            ("synth --kinds", tuple(default("synth", "kinds").split(",")), scene.object_kinds),
+            ("synth --depth-min", default("synth", "depth_min"), scene.depth_range[0]),
+            ("synth --depth-max", default("synth", "depth_max"), scene.depth_range[1]),
+            ("synth --translate", cli._parse_pair(default("synth", "translate"), "--translate"),
+             scene.camera_translation),
+            ("synth --jitter", default("synth", "jitter"), scene.jitter),
+            ("synth --noise", default("synth", "noise"), scene.noise_amplitude),
+        ]
+        assert [(flag, got, want) for flag, got, want in pairs if got != want] == []
+        assert net.seed == fit.seed
 
 
 class TestFlow:
@@ -216,6 +254,18 @@ class TestDataset:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "frame_00001.mmf" in err, err
         assert not (tmp_path / "d" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("split", ["a\nb", "a\u2028b", " padded "],
+                             ids=["newline", "line-separator", "padded"])
+    def test_split_that_would_not_read_back_refused(self, small_corpus, tmp_path, capsys,
+                                                    split):
+        capsys.readouterr()
+        assert run("dataset", "--in-dir", small_corpus / "flowed", "--out", tmp_path / "d",
+                   "--p", 16, "--s", 16, "--tau", 0, "--classes", 5, "--major", 8,
+                   "--minor", 4, "--split", split) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest split {split!r} ") and err.count("\n") == 1, err
+        assert not (tmp_path / "d").exists()
 
     def test_tau_filter_failure_message(self, tmp_path, capsys):
         # constant frames: everything filtered at positive tau

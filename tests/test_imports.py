@@ -48,6 +48,8 @@ UNREFERENCED_OK = {
     "dense_softmax_xent": NORTH_STAR,
     "extract_patches": NORTH_STAR,
     "build_dataset": NORTH_STAR,
+    "write_manifest": "writes manifest_text to a file for tests; mmreg dataset renders "
+                      "manifest_text before it makes --out",
     "conv2d_forward_reference": "the naive-loop oracle the im2col convolution is tested against",
 }
 
@@ -88,3 +90,14 @@ def test_every_definition_is_used_in_the_package():
                 unused.add(name)
     assert unused - set(UNREFERENCED_OK) == set(), "only tests use these; delete them"
     assert set(UNREFERENCED_OK) <= unused, "now used in the package; drop from the allow-list"
+
+
+def test_only_patch_grid_shifts_depth():
+    """One patch grid: the depth plane is shifted by patch_grid alone."""
+    total = inside = 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        total += sum(ref == "shift_plane" for ref in _references(tree))
+        inside += sum(ref == "shift_plane" for name, node in _definitions(tree)
+                      if name == "patch_grid" for ref in _references(node))
+    assert total == inside > 0

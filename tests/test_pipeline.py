@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mmreg import flow, pipeline
 from mmreg.offsets import OffsetClass, generate_offsets
@@ -470,8 +471,12 @@ class TestPatchGridOracle:
         old_y = np.array([b.label for b in old], dtype=np.int64)
         old_index = np.array([b.frame_index for b in old], dtype=np.int64)
         old_origins = np.array([b.origin for b in old], dtype=np.int64)
+        old_counts = [[int(old_frame_patches(frame, offset, sel, p, s, tau, fill)[1].sum())
+                       for offset in offsets] for frame in frames]
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("MMREG_THREADS", threads)
+            counts = pipeline.patch_counts((frame for frame in frames), offsets, p, s, tau, fill)
+            assert counts.dtype == np.int64 and counts.tolist() == old_counts
             x, labels, index, origins = pipeline.patch_arrays(frames, offsets, p, s, tau, fill,
                                                               sel)
             assert x.tobytes() == old_x.tobytes() and labels.tobytes() == old_y.tobytes()
@@ -527,6 +532,26 @@ class TestManifestRoundTrip:
             frame_files=["a.mmf", "b.mmf"], frame_count=2, patch_count=123)
         path = tmp_path / "manifest.txt"
         write_manifest(manifest, path)
+        assert read_manifest(path) == manifest
+
+    # a function-scoped tmp_path is fine: every example rewrites the same file
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(split=st.text())
+    @example(split="a\nb")
+    @example(split="a\u2028b")
+    @example(split=" padded ")
+    def test_split_reads_back_or_is_refused(self, tmp_path, split):
+        manifest = DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L"],
+            offsets=generate_offsets(3, 8, 4, 0.0), tau=0.0, fill=0.0, seed=0,
+            split=split, frame_files=["a.mmf"], frame_count=1, patch_count=1)
+        path = tmp_path / "manifest.txt"
+        try:
+            write_manifest(manifest, path)
+        except ValueError as exc:
+            assert str(exc).startswith("manifest split "), exc
+            return
         assert read_manifest(path) == manifest
 
     def test_forged_frame_count_reads_only_present_entries(self, tmp_path):
