@@ -113,8 +113,6 @@ def _resolve_frames_dir(manifest_path: Path, manifest, override: str | None) -> 
 
 
 def cmd_synth(args) -> int:
-    if args.frames < 1:
-        raise ValueError(f"--frames must be >= 1, got {args.frames}")
     config = synth.SceneConfig(
         seed=args.seed,
         frame_count=args.frames,

@@ -41,29 +41,19 @@ HEATMAP_CELL = 24
 class ConfusionMatrix:
     """N x N counts: rows are true classes, columns predicted classes."""
 
-    def __init__(self, n_classes: int, counts: np.ndarray | None = None):
+    def __init__(self, n_classes: int, counts: np.ndarray):
         if n_classes < 1:
             raise ValueError(f"need at least one class, got {n_classes}")
-        self.n_classes = n_classes
-        if counts is None:
-            self.counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (n_classes, n_classes):
-                raise ValueError(f"counts shape {counts.shape} does not match "
-                                 f"{n_classes} classes")
-            if (counts < 0).any():
-                raise ValueError("confusion counts must be non-negative")
-            self.counts = counts
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (n_classes, n_classes):
+            raise ValueError(f"counts shape {counts.shape} does not match {n_classes} classes")
+        if (counts < 0).any():
+            raise ValueError("confusion counts must be non-negative")
+        self.n_classes, self.counts = n_classes, counts
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ConfusionMatrix)
-                and self.n_classes == other.n_classes
-                and np.array_equal(self.counts, other.counts))
 
 
 def mean_diagonal_accuracy(cm: ConfusionMatrix) -> float:

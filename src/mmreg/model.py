@@ -8,11 +8,11 @@ at each pool (p -> p/2 -> p/4 -> p/8), so p must be divisible by 8.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -89,13 +89,6 @@ class Network:
     config: ModelConfig
     conv_layers: list[nn.ConvParams]
     dense_weights: np.ndarray
-
-    def astype(self, dtype) -> "Network":
-        layers = [nn.ConvParams(kernels=c.kernels.astype(dtype),
-                                biases=c.biases.astype(dtype), padding=c.padding)
-                  for c in self.conv_layers]
-        return Network(config=self.config, conv_layers=layers,
-                       dense_weights=self.dense_weights.astype(dtype))
 
     def parameters(self) -> list[np.ndarray]:
         params = []
@@ -385,45 +378,51 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
-    data = Path(path).read_bytes()
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    version, config_len = struct.unpack_from("<II", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}, "
-                          f"expected {CHECKPOINT_VERSION}")
-    offset = 12
-    if len(data) < offset + config_len:
-        raise FormatError(f"{path}: truncated config block at byte offset {offset}")
-    config = _config_from_text(decode_text(data[offset:offset + config_len], path, offset),
-                               str(path))
-    config.validate()
-    offset += config_len
+    """Read a checkpoint. Its size is checked against the one its header
+    and config imply before any weight is read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if size < 12:
+            raise FormatError(f"{path}: truncated header ({size} bytes)")
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+        version, config_len = struct.unpack_from("<II", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}, "
+                              f"expected {CHECKPOINT_VERSION}")
+        offset = 12
+        if size < offset + config_len:
+            raise FormatError(f"{path}: truncated config block at byte offset {offset}")
+        config = _config_from_text(decode_text(fh.read(config_len), path, offset), str(path))
+        config.validate()
+        offset += config_len
 
-    # size the weights from the config before allocating them, so a forged
-    # filter count cannot force a huge allocation
-    weight_count = sum(math.prod(shape) + shape[0] for shape in _kernel_shapes(config))
-    weight_count += config.n_classes * config.dense_inputs
-    if len(data) - offset < 4 * weight_count:
-        raise FormatError(f"{path}: truncated weights at byte offset {offset} "
-                          f"(config needs {4 * weight_count} bytes, have {len(data) - offset})")
+        # size the weights from the config before allocating them, so a forged
+        # filter count cannot force a huge allocation
+        weight_count = sum(math.prod(shape) + shape[0] for shape in _kernel_shapes(config))
+        weight_count += config.n_classes * config.dense_inputs
+        if size - offset < 4 * weight_count:
+            raise FormatError(f"{path}: truncated weights at byte offset {offset} "
+                              f"(config needs {4 * weight_count} bytes, have {size - offset})")
+        end = offset + 4 * weight_count
+        if size != end:
+            raise FormatError(f"{path}: {size - end} trailing bytes at byte offset {end}")
 
-    net = build_model(config)
-    names = [f"conv{i}.{part}" for i in range(len(net.conv_layers))
-             for part in ("kernels", "biases")] + ["dense_weights"]
-    for name, param in zip(names, net.parameters()):
-        values = np.frombuffer(data, dtype="<f4", count=param.size, offset=offset)
-        finite = np.isfinite(values)
-        if not finite.all():
-            i = int(finite.argmin())
-            raise FormatError(f"{path}: non-finite weight {values[i]} in {name} "
-                              f"at byte offset {offset + 4 * i}")
-        param[...] = values.reshape(param.shape)
-        offset += param.size * 4
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes at byte offset {offset}")
+        net = build_model(config)
+        names = [f"conv{i}.{part}" for i in range(len(net.conv_layers))
+                 for part in ("kernels", "biases")] + ["dense_weights"]
+        for name, param in zip(names, net.parameters()):
+            values = np.frombuffer(fh.read(4 * param.size), dtype="<f4")
+            if values.size != param.size:
+                raise FormatError(f"{path}: file shrank while {name} was read")
+            finite = np.isfinite(values)
+            if not finite.all():
+                i = int(finite.argmin())
+                raise FormatError(f"{path}: non-finite weight {values[i]} in {name} "
+                                  f"at byte offset {offset + 4 * i}")
+            param[...] = values.reshape(param.shape)
+            offset += param.size * 4
     return net
 
 

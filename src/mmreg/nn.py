@@ -1,11 +1,11 @@
 """Deterministic CNN numerics on plain numpy arrays.
 
-Images are (H, W, C) arrays, batches (B, H, W, C); every op accepts either
-and returns the matching rank. float32 is the working precision; pass
-float64 arrays when running gradient checks. Every function is
-bit-deterministic for identical inputs. Each is pure, with two kinds of
-exception: sgd_step updates its arrays in place, and conv2d_forward and
-_im2col write into the cols= and out= buffers a caller passes them.
+Conv and pool ops take (B,H,W,C) batches; pass x[None] for one image.
+float32 is the working precision; pass float64 arrays when running
+gradient checks. Every function is bit-deterministic for identical
+inputs. Each is pure, with two kinds of exception: sgd_step updates its
+arrays in place, and conv2d_forward and _im2col write into the cols= and
+out= buffers a caller passes them.
 """
 
 from __future__ import annotations
@@ -100,11 +100,8 @@ def _conv_out_size(size: int, k: int, pad: int) -> int:
     return span + 1
 
 
-def _as_batch(x: Array) -> tuple[Array, bool]:
-    _require(x.ndim in (3, 4), f"expected (H,W,C) or (B,H,W,C) input, got shape {x.shape}")
-    if x.ndim == 3:
-        return x[None], True
-    return x, False
+def _require_batch(x: Array) -> None:
+    _require(x.ndim == 4, f"expected a (B,H,W,C) batch, got shape {x.shape}")
 
 
 def _im2col(padded: Array, k: int, out_h: int, out_w: int,
@@ -124,7 +121,8 @@ def _im2col(padded: Array, k: int, out_h: int, out_w: int,
 
 
 def _conv_geometry(x: Array, params: ConvParams):
-    b, h, w, c = x.shape
+    _require_batch(x)
+    _, h, w, c = x.shape
     _require(c == params.in_channels,
              f"input channel count {c} does not match kernel depth {params.in_channels} "
              f"(input {x.shape[1:]}, kernels {params.kernels.shape})")
@@ -141,24 +139,21 @@ def _pad_input(x: Array, pad: int) -> Array:
 
 def conv2d_forward(x: Array, params: ConvParams, cols: Array | None = None,
                    out: Array | None = None) -> Array:
-    """Cross-correlate (.,H,W,Cin) with kernels -> (.,H',W',K).
+    """Cross-correlate (B,H,W,Cin) with kernels -> (B,H',W',K).
 
     Output H' = H + 2*pad - k + 1, and likewise W'.
     Fast path lowers patches to a matrix product; equivalence with the
-    naive loop is covered by conv2d_forward_reference. Batched callers
-    may pass C-contiguous buffers to fill: cols (B, H'*W', k*k*Cin) for
-    the im2col rows and out (B, H', W', K) for the result, which is then
-    returned.
+    naive loop is covered by conv2d_forward_reference. Callers may pass
+    C-contiguous buffers to fill: cols (B, H'*W', k*k*Cin) for the im2col
+    rows and out (B, H', W', K) for the result, which is then returned.
     """
-    xb, squeeze = _as_batch(x)
-    out_h, out_w = _conv_geometry(xb, params)
+    out_h, out_w = _conv_geometry(x, params)
     k, n_k = params.kernel_size, params.out_channels
-    cols = _im2col(_pad_input(xb, params.padding), k, out_h, out_w, out=cols)
+    cols = _im2col(_pad_input(x, params.padding), k, out_h, out_w, out=cols)
     w_mat = params.kernels.reshape(n_k, -1).T  # (k*k*Cin, K)
     y = np.matmul(cols, w_mat, out=None if out is None else out.reshape(cols.shape[:2] + (n_k,)))
     y += params.biases
-    y = y.reshape(xb.shape[0], out_h, out_w, n_k)
-    return y[0] if squeeze else y
+    return y.reshape(x.shape[0], out_h, out_w, n_k)
 
 
 def conv2d_forward_reference(x: Array, params: ConvParams) -> Array:
@@ -196,26 +191,24 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
     """Gradients of a scalar loss through conv2d_forward.
 
     upstream must have the forward output shape. Returns (input grad,
-    parameter grads); batched inputs accumulate parameter grads over the
-    batch in a fixed order. With input_grad=False the input grad is not
-    computed and None is returned in its place; likewise the parameter
-    grads with param_grads=False. _cols may hold the forward's im2col rows.
+    parameter grads); parameter grads accumulate over the batch in a
+    fixed order. With input_grad=False the input grad is not computed and
+    None is returned in its place; likewise the parameter grads with
+    param_grads=False. _cols may hold the forward's im2col rows.
     Each input-grad row depends only on its own sample's upstream rows, so
     it has the same bits whichever batch the sample is in.
     """
-    xb, squeeze = _as_batch(x)
-    out_h, out_w = _conv_geometry(xb, params)
-    ub, _ = _as_batch(upstream)
-    expected = (xb.shape[0], out_h, out_w, params.out_channels)
-    _require(ub.shape == expected,
+    out_h, out_w = _conv_geometry(x, params)
+    expected = (x.shape[0], out_h, out_w, params.out_channels)
+    _require(upstream.shape == expected,
              f"upstream grad shape {upstream.shape} does not match forward output {expected}")
 
     k, pad = params.kernel_size, params.padding
-    u_mat = ub.reshape(xb.shape[0], out_h * out_w, params.out_channels)
+    u_mat = upstream.reshape(x.shape[0], out_h * out_w, params.out_channels)
     grads = None
     if param_grads:
         if _cols is None:
-            _cols = _im2col(_pad_input(xb, pad), k, out_h, out_w)
+            _cols = _im2col(_pad_input(x, pad), k, out_h, out_w)
         dw_mat = np.tensordot(_cols, u_mat, axes=([0, 1], [0, 1]))  # (k*k*Cin, K)
         grads = ConvGrads(kernels=dw_mat.T.reshape(params.kernels.shape),
                           biases=u_mat.sum(axis=(0, 1)))
@@ -224,17 +217,14 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
 
     # scatter the input gradient one kernel tap at a time: each tap is a
     # plain GEMM with a contiguous result, avoiding strided accumulation
-    b, h, w, c = xb.shape
+    b, h, w, c = x.shape
     u_flat = u_mat.reshape(b * out_h * out_w, params.out_channels)
     d_padded = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=u_mat.dtype)
     for ki in range(k):
         for kj in range(k):
             tap = u_flat @ params.kernels[:, ki, kj, :]  # (B*P, Cin)
             d_padded[:, ki:ki + out_h, kj:kj + out_w, :] += tap.reshape(b, out_h, out_w, c)
-    dx = d_padded[:, pad:pad + h, pad:pad + w, :]
-    if squeeze:
-        dx = dx[0]
-    return dx, grads
+    return d_padded[:, pad:pad + h, pad:pad + w, :], grads
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +241,10 @@ def maxpool2x2_forward(x: Array) -> tuple[Array, Array]:
     element bit for bit, +0.0 and -0.0 included. A window holding NaN
     pools to NaN with index 3.
     """
-    xb, squeeze = _as_batch(x)
-    _, h, w, _ = xb.shape
+    _require_batch(x)
+    _, h, w, _ = x.shape
     _require(h % 2 == 0 and w % 2 == 0, f"pooling needs even spatial dims, got {h}x{w}")
-    q = [xb[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # window elements, row-major
+    q = [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]  # window elements, row-major
     pooled = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
     # n_k is 1 where element k is below the max; the winner is the first
     # element that is not: idx = 0 if n0 == 0, else 1 if n1 == 0, ...
@@ -263,29 +253,26 @@ def maxpool2x2_forward(x: Array) -> tuple[Array, Array]:
     # Equal values have equal bits except +0.0 and -0.0, where np.maximum
     # may return either operand. Only an input with a sign bit set can hold
     # -0.0; then copy the winner itself into every zero-valued window.
-    bits = xb.view(f"u{xb.itemsize}")
-    if bits.max(initial=0) >> (8 * xb.itemsize - 1):
+    bits = x.view(f"u{x.itemsize}")
+    if bits.max(initial=0) >> (8 * x.itemsize - 1):
         zero = np.nonzero(pooled == 0)
         k = idx[zero]
-        pooled[zero] = xb[zero[0], 2 * zero[1] + k // 2, 2 * zero[2] + k % 2, zero[3]]
-    if squeeze:
-        return pooled[0], idx[0]
+        pooled[zero] = x[zero[0], 2 * zero[1] + k // 2, 2 * zero[2] + k % 2, zero[3]]
     return pooled, idx
 
 
 def maxpool2x2_backward(indices: Array, upstream: Array) -> Array:
     """Route upstream grads to the winning positions; all others zero."""
-    ub, squeeze = _as_batch(upstream)
-    ib, _ = _as_batch(indices)
-    _require(ib.shape == ub.shape,
+    _require_batch(upstream)
+    _require(indices.shape == upstream.shape,
              f"indices shape {indices.shape} does not match upstream shape {upstream.shape}")
-    b, h, w, c = ub.shape
-    d_windows = np.zeros((b, h, w, 4, c), dtype=ub.dtype)
-    np.put_along_axis(d_windows, ib[:, :, :, None, :].astype(np.intp), ub[:, :, :, None, :], axis=3)
-    dx = (d_windows.reshape(b, h, w, 2, 2, c)
-                   .transpose(0, 1, 3, 2, 4, 5)
-                   .reshape(b, h * 2, w * 2, c))
-    return dx[0] if squeeze else dx
+    b, h, w, c = upstream.shape
+    d_windows = np.zeros((b, h, w, 4, c), dtype=upstream.dtype)
+    np.put_along_axis(d_windows, indices[:, :, :, None, :].astype(np.intp),
+                      upstream[:, :, :, None, :], axis=3)
+    return (d_windows.reshape(b, h, w, 2, 2, c)
+                     .transpose(0, 1, 3, 2, 4, 5)
+                     .reshape(b, h * 2, w * 2, c))
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +332,14 @@ def dense_softmax_xent(x: Array, weights: Array, label: int) -> tuple[Array, flo
             DenseGrads(weights=np.outer(d_logits[0], x), input=weights.T @ d_logits[0]))
 
 
-def sgd_step(param: Array, grad: Array, learning_rate: float, momentum: float = 0.0,
-             velocity: Array | None = None) -> tuple[Array, Array]:
+def sgd_step(param: Array, grad: Array, learning_rate: float, momentum: float,
+             velocity: Array) -> tuple[Array, Array]:
     """One SGD update in place: v <- momentum*v + g, w <- w - lr*v.
 
-    param and velocity (zeros when None) are overwritten; returns (w, v).
+    param and velocity are overwritten; returns (w, v).
     """
     _require(param.shape == grad.shape,
              f"param shape {param.shape} does not match grad shape {grad.shape}")
-    if velocity is None:
-        velocity = np.zeros_like(param)
     _require(velocity.shape == param.shape,
              f"velocity shape {velocity.shape} does not match param shape {param.shape}")
     velocity *= momentum

@@ -121,45 +121,51 @@ def write_frame(frame: Frame, path) -> None:
 
 
 def read_frame(path) -> Frame:
-    data = Path(path).read_bytes()
+    """Read an MMF file. Its size is checked against the one its header
+    implies before any plane is read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-    def need(count: int, offset: int, what: str) -> None:
-        if len(data) < offset + count:
-            raise FormatError(f"{path}: truncated {what} at byte offset {offset} "
-                              f"(need {count} bytes, have {len(data) - offset})")
+        def need(count: int, offset: int, what: str) -> None:
+            if size < offset + count:
+                raise FormatError(f"{path}: truncated {what} at byte offset {offset} "
+                                  f"(need {count} bytes, have {size - offset})")
 
-    need(4, 0, "magic")
-    if data[:4] != MMF_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r} at byte offset 0, expected {MMF_MAGIC!r}")
-    need(12, 4, "header")
-    width, height, channel_count = struct.unpack_from("<III", data, 4)
-    if width == 0 or height == 0:
-        raise FormatError(f"{path}: zero frame dimension {width}x{height} at byte offset 4")
-    if channel_count == 0 or channel_count > len(CHANNEL_IDS):
-        raise FormatError(f"{path}: channel count {channel_count} at byte offset 12 "
-                          f"outside [1, {len(CHANNEL_IDS)}]")
-    offset = 16
-    need(channel_count, offset, "channel id table")
-    names = []
-    for i in range(channel_count):
-        cid = data[offset + i]
-        if cid not in CHANNEL_NAMES:
-            raise FormatError(f"{path}: unknown channel id {cid} at byte offset {offset + i}")
-        names.append(CHANNEL_NAMES[cid])
-    if len(set(names)) != len(names):
-        raise FormatError(f"{path}: duplicate channel ids at byte offset {offset}")
-    offset += channel_count
+        head = fh.read(16)
+        need(4, 0, "magic")
+        if head[:4] != MMF_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r} at byte offset 0, "
+                              f"expected {MMF_MAGIC!r}")
+        need(12, 4, "header")
+        width, height, channel_count = struct.unpack_from("<III", head, 4)
+        if width == 0 or height == 0:
+            raise FormatError(f"{path}: zero frame dimension {width}x{height} at byte offset 4")
+        if channel_count == 0 or channel_count > len(CHANNEL_IDS):
+            raise FormatError(f"{path}: channel count {channel_count} at byte offset 12 "
+                              f"outside [1, {len(CHANNEL_IDS)}]")
+        offset = 16
+        need(channel_count, offset, "channel id table")
+        names = []
+        for i, cid in enumerate(fh.read(channel_count)):
+            if cid not in CHANNEL_NAMES:
+                raise FormatError(f"{path}: unknown channel id {cid} at byte offset {offset + i}")
+            names.append(CHANNEL_NAMES[cid])
+        if len(set(names)) != len(names):
+            raise FormatError(f"{path}: duplicate channel ids at byte offset {offset}")
+        offset += channel_count
 
-    plane_bytes = width * height * 4
-    planes_start = offset
-    channels = {}
-    for name in names:
-        need(plane_bytes, offset, f"plane {name}")
-        plane = np.frombuffer(data, dtype="<f4", count=width * height, offset=offset)
-        channels[name] = plane.reshape(height, width).copy()
-        offset += plane_bytes
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes at byte offset {offset}")
+        plane_bytes = width * height * 4
+        planes_start = offset
+        for name in names:
+            need(plane_bytes, offset, f"plane {name}")
+            offset += plane_bytes
+        if offset != size:
+            raise FormatError(f"{path}: {size - offset} trailing bytes at byte offset {offset}")
+        channels = {}
+        for name in names:
+            plane = channels[name] = np.empty((height, width), dtype="<f4")
+            if fh.readinto(plane) != plane_bytes:
+                raise FormatError(f"{path}: file shrank while plane {name} was read")
     try:
         return Frame(channels)
     except ValueError as exc:
@@ -536,6 +542,15 @@ def decode_text(data: bytes, source, offset: int = 0) -> str:
                           f"{offset + exc.start} is not UTF-8") from None
 
 
+def _quoted(value: str) -> str:
+    """repr(value), or for a value over 60 characters the repr of its first
+    60 and the count left out; file content quoted in an error message can
+    be a line of any length."""
+    if len(value) <= 60:
+        return repr(value)
+    return f"{value[:60]!r} and {len(value) - 60} more characters"
+
+
 def parse_key_values(text: str, source: str = "<manifest>") -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -543,10 +558,10 @@ def parse_key_values(text: str, source: str = "<manifest>") -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise FormatError(f"{source}:{lineno}: expected key=value, got {line!r}")
+            raise FormatError(f"{source}:{lineno}: expected key=value, got {_quoted(line)}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in pairs:
-            raise FormatError(f"{source}:{lineno}: repeated key {key!r}")
+            raise FormatError(f"{source}:{lineno}: repeated key {_quoted(key)}")
         pairs[key] = value
     return pairs
 
@@ -559,8 +574,8 @@ def read_key_values(path) -> dict[str, str]:
 def read_manifest(path) -> DatasetManifest:
     pairs = read_key_values(path)
     try:
-        if pairs.get("format") != "mmreg-manifest-1":
-            raise ValueError(f"unknown manifest format {pairs.get('format')!r}")
+        if pairs["format"] != "mmreg-manifest-1":
+            raise ValueError(f"unknown manifest format {_quoted(pairs['format'])}")
         n_classes = int(pairs["n_classes"])
         if n_classes < 2:
             raise ValueError(f"n_classes {n_classes} below 2")
@@ -589,9 +604,10 @@ def read_manifest(path) -> DatasetManifest:
         channels = pairs["channels"].split(",")
         unknown = [name for name in channels if name not in CHANNEL_IDS]
         if unknown:
-            raise ValueError(f"unknown channels {unknown} in channels={pairs['channels']}")
+            raise ValueError(f"unknown channels {_quoted(','.join(unknown))} "
+                             f"in channels={_quoted(pairs['channels'])}")
         if len(set(channels)) != len(channels):
-            raise ValueError(f"duplicate channels in channels={pairs['channels']}")
+            raise ValueError(f"duplicate channels in channels={_quoted(pairs['channels'])}")
         # a forged frame_count costs no more than the entries the file holds
         frame_files = ([pairs[f"frame_{i}"] for i in range(frame_count)]
                        if "frame_0" in pairs else [])

@@ -36,7 +36,7 @@ class SceneConfig:
 
     def validate(self) -> None:
         if self.frame_count < 1:
-            raise ValueError(f"frame count must be >= 1, got {self.frame_count}")
+            raise ValueError(f"frame count must be >= 1, got {self.frame_count} frames")
         if self.width < 8 or self.height < 8:
             raise ValueError(f"frame dims too small: {self.width}x{self.height}")
         if self.object_count < 1:

@@ -1,6 +1,9 @@
-"""Shared test oracles: central finite differences and error measures."""
+"""Shared test oracles: central finite differences and error measures,
+and networks cast to another precision."""
 
 import numpy as np
+
+from mmreg import model, nn
 
 
 def central_diff_grad(loss_fn, x, h=1e-5):
@@ -35,3 +38,12 @@ def max_rel_error(analytic, numeric):
     floor = max(1e-8, 1e-4 * scale)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def cast_network(net, dtype):
+    """A copy of net with every parameter cast to dtype; float64 networks
+    are for gradient checks."""
+    layers = [nn.ConvParams(kernels=c.kernels.astype(dtype), biases=c.biases.astype(dtype),
+                            padding=c.padding)
+              for c in net.conv_layers]
+    return model.Network(net.config, layers, net.dense_weights.astype(dtype))

@@ -13,7 +13,7 @@ import pytest
 from mmreg import evaluation, flow as flow_mod, model, nn, pipeline, synth
 from mmreg.offsets import generate_offsets
 from mmreg.pipeline import DEFAULT_TAU, FormatError, Frame, build_dataset
-from helpers import central_diff_grad, max_rel_error
+from helpers import cast_network, central_diff_grad, max_rel_error
 
 GRADCHECK_BOUND = 1e-4
 
@@ -47,19 +47,20 @@ def test_criterion_1_gradient_correctness():
     params = nn.ConvParams(kernels=rng.standard_normal((2, 3, 3, 3)),
                            biases=rng.standard_normal(2), padding=1)
     upstream = rng.standard_normal((6, 6, 2))
-    dx, grads = nn.conv2d_backward(x, params, upstream)
-    worst = max_rel_error(dx, central_diff_grad(
-        lambda x_: float(np.sum(nn.conv2d_forward(x_, params) * upstream)), x))
+    dx, grads = nn.conv2d_backward(x[None], params, upstream[None])
+    worst = max_rel_error(dx[0], central_diff_grad(
+        lambda x_: float(np.sum(nn.conv2d_forward(x_[None], params)[0] * upstream)), x))
     worst = max(worst, max_rel_error(grads.kernels, central_diff_grad(
         lambda k_: float(np.sum(nn.conv2d_forward(
-            x, nn.ConvParams(kernels=k_, biases=params.biases, padding=1)) * upstream)),
+            x[None], nn.ConvParams(kernels=k_, biases=params.biases, padding=1))[0] * upstream)),
         params.kernels)))
 
     pool_up = rng.standard_normal((3, 3, 3))
-    _, idx = nn.maxpool2x2_forward(x)
+    _, idx = nn.maxpool2x2_forward(x[None])
     worst = max(worst, max_rel_error(
-        nn.maxpool2x2_backward(idx, pool_up),
-        central_diff_grad(lambda x_: float(np.sum(nn.maxpool2x2_forward(x_)[0] * pool_up)), x)))
+        nn.maxpool2x2_backward(idx, pool_up[None])[0],
+        central_diff_grad(
+            lambda x_: float(np.sum(nn.maxpool2x2_forward(x_[None])[0][0] * pool_up)), x)))
 
     relu_up = rng.standard_normal(x.shape)
     worst = max(worst, max_rel_error(
@@ -79,7 +80,7 @@ def test_criterion_1_gradient_correctness():
     # where central differences straddle the (defined) subgradient.
     config = model.ModelConfig(patch_size=8, channels=("Gr", "L"), filters=(2, 2, 2),
                                kernel_size=5, n_classes=3, seed=5)
-    net = model.build_model(config).astype(np.float64)
+    net = cast_network(model.build_model(config), np.float64)
     for li, layer in enumerate(net.conv_layers):
         layer.biases = 0.05 + 0.01 * np.arange(layer.biases.size, dtype=np.float64) + 0.02 * li
     xb = rng.random((2, 8, 8, 2))
@@ -124,7 +125,7 @@ def test_criterion_2_convolution_oracle():
         x = rng.standard_normal((h, w, c))
         params = nn.ConvParams(kernels=rng.standard_normal((n_k, k, k, c)),
                                biases=rng.standard_normal(n_k), padding=pad)
-        diff = np.max(np.abs(nn.conv2d_forward(x, params)
+        diff = np.max(np.abs(nn.conv2d_forward(x[None], params)[0]
                              - nn.conv2d_forward_reference(x, params)))
         worst = max(worst, float(diff))
         cases += 1
@@ -287,8 +288,8 @@ def test_criterion_7_end_to_end_experiment(experiment):
 
     for a, b in zip(experiment["net"].parameters(), experiment["rerun_net"].parameters()):
         np.testing.assert_array_equal(a, b)
-    assert report.patch_cm == experiment["rerun_report"].patch_cm
-    assert report.image_cm == experiment["rerun_report"].image_cm
+    assert np.array_equal(report.patch_cm.counts, experiment["rerun_report"].patch_cm.counts)
+    assert np.array_equal(report.image_cm.counts, experiment["rerun_report"].image_cm.counts)
     assert report.temporal_accuracy == experiment["rerun_report"].temporal_accuracy
 
     assert experiment["run_seconds"] < 600.0, \

@@ -71,6 +71,13 @@ class TestSynth:
         assert run("synth", "--out", tmp_path / "x", "--frames", 0) == 1
         assert "frames" in capsys.readouterr().err
 
+    def test_zero_frames_one_error_line_and_no_output(self, tmp_path, capsys):
+        assert run("synth", "--frames", 0, "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "frame count must be >= 1, got 0" in err
+        assert not (tmp_path / "x").exists()
+
     def test_writes_run_config(self, tmp_path):
         out = tmp_path / "s"
         synth_small(out, seed=9)

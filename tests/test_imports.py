@@ -2,7 +2,8 @@
 imports only the standard library, numpy and the package itself. And
 mmreg.pipeline alone sizes thread pools: no callable takes a worker count
 but its bounded_map primitive. No code lives in the package for tests
-alone: every definition is used there, bar a short allow-list."""
+alone: every definition is used there, bar a short allow-list. And every
+package name the benchmark tracer replaces exists."""
 
 import ast
 import importlib
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "mmreg"}
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "mmreg").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "mmreg").glob("*.py"))
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -101,3 +104,17 @@ def test_only_patch_grid_shifts_depth():
         inside += sum(ref == "shift_plane" for name, node in _definitions(tree)
                       if name == "patch_grid" for ref in _references(node))
     assert total == inside > 0
+
+
+def test_traced_names_exist():
+    """benchmarks/tracing.py wraps mmreg attributes by name, as
+    wrap(module, "name", ...) or wrap_generator(module, "name", ...)."""
+    targets = []
+    for node in ast.walk(ast.parse(TRACING.read_text(), filename=str(TRACING))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("wrap", "wrap_generator")):
+            module, name = node.args[:2]
+            targets.append((module.id, name.value))
+    missing = [f"mmreg.{module}.{name}" for module, name in targets
+               if not hasattr(importlib.import_module(f"mmreg.{module}"), name)]
+    assert targets and missing == []

@@ -11,7 +11,7 @@ import pytest
 
 from mmreg import model, nn, pipeline
 from mmreg.pipeline import FormatError
-from helpers import central_diff_grad, max_rel_error
+from helpers import cast_network, central_diff_grad, max_rel_error
 
 TINY = model.ModelConfig(patch_size=8, channels=("Gr", "L"), filters=(2, 2, 2),
                          kernel_size=3, n_classes=3, seed=11)
@@ -145,7 +145,7 @@ class TestTrain:
 
     def test_end_to_end_gradients_tiny_network(self):
         rng = np.random.default_rng(9)
-        net = model.build_model(TINY).astype(np.float64)
+        net = cast_network(model.build_model(TINY), np.float64)
         x = rng.random((2, 8, 8, 2))
         y = np.array([1, 2], dtype=np.int64)
         _, conv_grads, d_dense, _ = model._batch_loss_and_grads(net, x, y)
@@ -223,7 +223,7 @@ class TestBlockedBatch:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("input_grad", [False, True])
     def test_blocks_match_single_pass(self, config, dtype, input_grad):
-        net = model.build_model(config).astype(dtype)
+        net = cast_network(model.build_model(config), dtype)
         rng = np.random.default_rng(17)
         side, depth = config.patch_size, len(config.channels)
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -493,7 +493,7 @@ class TestCheckpoint:
             model.load_checkpoint(path)
 
     def test_float64_network_rejected(self, tmp_path):
-        net = model.build_model(TINY).astype(np.float64)
+        net = cast_network(model.build_model(TINY), np.float64)
         with pytest.raises(ValueError, match="float32"):
             model.save_checkpoint(net, tmp_path / "bad.mmrc")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,21 +17,21 @@ class TestConvForward:
     def test_stage_output_shape(self):
         x = np.random.default_rng(0).random((32, 32, 6), dtype=np.float32)
         params = make_conv(1, 32, 5, 6, padding=2)
-        assert nn.conv2d_forward(x, params).shape == (32, 32, 32)
+        assert nn.conv2d_forward(x[None], params)[0].shape == (32, 32, 32)
 
     def test_identity_1x1_kernel_selects_channel(self):
         x = np.random.default_rng(1).random((7, 5, 3), dtype=np.float32)
         kernels = np.zeros((1, 1, 1, 3), dtype=np.float32)
         kernels[0, 0, 0, 1] = 1.0
         params = nn.ConvParams(kernels=kernels, biases=np.zeros(1, dtype=np.float32))
-        out = nn.conv2d_forward(x, params)
+        out = nn.conv2d_forward(x[None], params)[0]
         np.testing.assert_array_equal(out[:, :, 0], x[:, :, 1])
 
     def test_ones_3x3_padded(self):
         x = np.ones((3, 3, 1), dtype=np.float32)
         params = nn.ConvParams(kernels=np.ones((1, 3, 3, 1), dtype=np.float32),
                                biases=np.zeros(1, dtype=np.float32), padding=1)
-        out = nn.conv2d_forward(x, params)[:, :, 0]
+        out = nn.conv2d_forward(x[None], params)[0][:, :, 0]
         expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float32)
         np.testing.assert_array_equal(out, expected)
 
@@ -37,13 +39,13 @@ class TestConvForward:
         x = np.zeros((8, 8, 3), dtype=np.float32)
         params = make_conv(2, 2, 3, 4)
         with pytest.raises(ValueError, match=r"3.*4"):
-            nn.conv2d_forward(x, params)
+            nn.conv2d_forward(x[None], params)
 
     def test_too_small_input_rejected(self):
         x = np.zeros((2, 2, 1), dtype=np.float32)
         params = make_conv(4, 1, 5, 1)
         with pytest.raises(ValueError, match="too small"):
-            nn.conv2d_forward(x, params)
+            nn.conv2d_forward(x[None], params)
 
     def test_matches_reference_random_cases(self):
         rng = np.random.default_rng(42)
@@ -57,7 +59,7 @@ class TestConvForward:
                 x = rng.standard_normal((h, w, c))
                 params = nn.ConvParams(kernels=rng.standard_normal((n_k, k, k, c)),
                                        biases=rng.standard_normal(n_k), padding=pad)
-                fast = nn.conv2d_forward(x, params)
+                fast = nn.conv2d_forward(x[None], params)[0]
                 ref = nn.conv2d_forward_reference(x, params)
                 assert np.max(np.abs(fast - ref)) < 1e-6
 
@@ -65,7 +67,7 @@ class TestConvForward:
         for k in (3, 5, 7):
             x = np.random.default_rng(k).random((12, 10, 2), dtype=np.float32)
             params = make_conv(k, 3, k, 2, padding=(k - 1) // 2)
-            assert nn.conv2d_forward(x, params).shape == (12, 10, 3)
+            assert nn.conv2d_forward(x[None], params)[0].shape == (12, 10, 3)
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(7)
@@ -73,7 +75,7 @@ class TestConvForward:
         params = make_conv(9, 4, 3, 2, padding=1)
         batched = nn.conv2d_forward(xb, params)
         for i in range(3):
-            np.testing.assert_array_equal(batched[i], nn.conv2d_forward(xb[i], params))
+            np.testing.assert_array_equal(batched[i], nn.conv2d_forward(xb[i][None], params)[0])
 
 
 class TestConvBackward:
@@ -81,8 +83,8 @@ class TestConvBackward:
         x = np.array([[[2.0]]])
         params = nn.ConvParams(kernels=np.array([[[[3.0]]]]), biases=np.zeros(1))
         g = np.array([[[5.0]]])
-        dx, grads = nn.conv2d_backward(x, params, g)
-        assert dx[0, 0, 0] == pytest.approx(15.0)   # w * g
+        dx, grads = nn.conv2d_backward(x[None], params, g[None])
+        assert dx[0][0, 0, 0] == pytest.approx(15.0)   # w * g
         assert grads.kernels[0, 0, 0, 0] == pytest.approx(10.0)  # x * g
         assert grads.biases[0] == pytest.approx(5.0)
 
@@ -90,7 +92,8 @@ class TestConvBackward:
         rng = np.random.default_rng(11)
         x = rng.random((6, 6, 2), dtype=np.float32)
         params = make_conv(12, 3, 3, 2, padding=1)
-        dx, grads = nn.conv2d_backward(x, params, np.zeros((6, 6, 3), dtype=np.float32))
+        dx, grads = nn.conv2d_backward(x[None], params,
+                                       np.zeros((6, 6, 3), dtype=np.float32)[None])
         assert not dx.any()
         assert not grads.kernels.any()
         assert not grads.biases.any()
@@ -99,7 +102,7 @@ class TestConvBackward:
         x = np.zeros((6, 6, 2), dtype=np.float32)
         params = make_conv(13, 3, 3, 2, padding=1)
         with pytest.raises(ValueError, match="upstream"):
-            nn.conv2d_backward(x, params, np.zeros((5, 6, 3), dtype=np.float32))
+            nn.conv2d_backward(x[None], params, np.zeros((5, 6, 3), dtype=np.float32)[None])
 
     def test_finite_differences_random(self):
         rng = np.random.default_rng(5)
@@ -108,16 +111,16 @@ class TestConvBackward:
                                biases=rng.standard_normal(4), padding=1)
         upstream = rng.standard_normal((8, 8, 4))
 
-        dx, grads = nn.conv2d_backward(x, params, upstream)
+        dx, grads = nn.conv2d_backward(x[None], params, upstream[None])
 
         def loss_wrt_input(x_):
-            return float(np.sum(nn.conv2d_forward(x_, params) * upstream))
+            return float(np.sum(nn.conv2d_forward(x_[None], params)[0] * upstream))
 
         def loss_wrt_kernels(k_):
             p = nn.ConvParams(kernels=k_, biases=params.biases, padding=1)
-            return float(np.sum(nn.conv2d_forward(x, p) * upstream))
+            return float(np.sum(nn.conv2d_forward(x[None], p)[0] * upstream))
 
-        assert max_rel_error(dx, central_diff_grad(loss_wrt_input, x)) < 1e-6
+        assert max_rel_error(dx[0], central_diff_grad(loss_wrt_input, x)) < 1e-6
         assert max_rel_error(grads.kernels, central_diff_grad(loss_wrt_kernels, params.kernels)) < 1e-6
 
     def test_skipping_input_grad_keeps_param_grads(self):
@@ -140,23 +143,36 @@ class TestConvBackward:
         dxb, grads = nn.conv2d_backward(xb, params, ub)
         k_sum = np.zeros_like(params.kernels)
         for i in range(3):
-            dxi, gi = nn.conv2d_backward(xb[i], params, ub[i])
-            np.testing.assert_allclose(dxb[i], dxi, atol=1e-12)
+            dxi, gi = nn.conv2d_backward(xb[i][None], params, ub[i][None])
+            np.testing.assert_allclose(dxb[i], dxi[0], atol=1e-12)
             k_sum += gi.kernels
         np.testing.assert_allclose(grads.kernels, k_sum, atol=1e-10)
+
+
+class TestBatchOnly:
+    @pytest.mark.parametrize("op", ["conv2d_forward", "conv2d_backward",
+                                    "maxpool2x2_forward", "maxpool2x2_backward"])
+    def test_rank3_input_rejected_naming_shape(self, op):
+        x = np.zeros((4, 4, 2))
+        params = make_conv(50, 3, 3, 2, padding=1)
+        args = {"conv2d_forward": (x, params),
+                "conv2d_backward": (x, params, np.zeros((4, 4, 3))),
+                "maxpool2x2_forward": (x,),
+                "maxpool2x2_backward": (np.zeros((4, 4, 2), dtype=np.uint8), x)}[op]
+        with pytest.raises(ValueError, match=re.escape("got shape (4, 4, 2)")):
+            getattr(nn, op)(*args)
 
 
 def maxpool_oracle(x):
     """The reshape/argmax/take_along_axis pooling that maxpool2x2_forward
     replaced; its (pooled, idx) bytes are the contract."""
-    xb = x if x.ndim == 4 else x[None]
-    b, h, w, c = xb.shape
-    windows = (xb.reshape(b, h // 2, 2, w // 2, 2, c)
-                 .transpose(0, 1, 3, 2, 4, 5)
-                 .reshape(b, h // 2, w // 2, 4, c))
+    b, h, w, c = x.shape
+    windows = (x.reshape(b, h // 2, 2, w // 2, 2, c)
+                .transpose(0, 1, 3, 2, 4, 5)
+                .reshape(b, h // 2, w // 2, 4, c))
     idx = windows.argmax(axis=3).astype(np.uint8)
     pooled = np.take_along_axis(windows, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return (pooled, idx) if x.ndim == 4 else (pooled[0], idx[0])
+    return pooled, idx
 
 
 def pool_case(kind, dtype, rng):
@@ -182,7 +198,7 @@ class TestMaxPool:
     def test_matches_argmax_oracle_bitwise(self, kind, dtype, batched):
         x = pool_case(kind, dtype, np.random.default_rng(40))
         if not batched:
-            x = x[1]
+            x = x[1][None]
         pooled, idx = nn.maxpool2x2_forward(x)
         want_pooled, want_idx = maxpool_oracle(x)
         assert pooled.dtype == want_pooled.dtype and idx.dtype == want_idx.dtype
@@ -192,37 +208,37 @@ class TestMaxPool:
 
     def test_window_example(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-        pooled, idx = nn.maxpool2x2_forward(x)
-        assert pooled[0, 0, 0] == 4.0
-        assert idx[0, 0, 0] == 3  # position (1,1)
+        pooled, idx = nn.maxpool2x2_forward(x[None])
+        assert pooled[0][0, 0, 0] == 4.0
+        assert idx[0][0, 0, 0] == 3  # position (1,1)
 
     def test_constant_input(self):
         x = np.full((4, 6, 2), 0.7, dtype=np.float32)
-        pooled, idx = nn.maxpool2x2_forward(x)
+        pooled, idx = nn.maxpool2x2_forward(x[None])
         assert np.all(pooled == np.float32(0.7))
         assert np.all(idx == 0)  # ties to top-left
 
     def test_stage_output_shape(self):
         x = np.random.default_rng(3).random((32, 32, 32), dtype=np.float32)
-        pooled, _ = nn.maxpool2x2_forward(x)
-        assert pooled.shape == (16, 16, 32)
+        pooled, _ = nn.maxpool2x2_forward(x[None])
+        assert pooled[0].shape == (16, 16, 32)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            nn.maxpool2x2_forward(np.zeros((5, 4, 1)))
+            nn.maxpool2x2_forward(np.zeros((5, 4, 1))[None])
 
     def test_backward_routes_to_winner(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-        _, idx = nn.maxpool2x2_forward(x)
-        dx = nn.maxpool2x2_backward(idx, np.array([[[7.0]]]))
-        np.testing.assert_array_equal(dx[:, :, 0], [[0, 0], [0, 7.0]])
+        _, idx = nn.maxpool2x2_forward(x[None])
+        dx = nn.maxpool2x2_backward(idx, np.array([[[7.0]]])[None])
+        np.testing.assert_array_equal(dx[0][:, :, 0], [[0, 0], [0, 7.0]])
 
     def test_backward_conserves_mass(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((8, 10, 3))
-        _, idx = nn.maxpool2x2_forward(x)
+        _, idx = nn.maxpool2x2_forward(x[None])
         upstream = rng.standard_normal((4, 5, 3))
-        dx = nn.maxpool2x2_backward(idx, upstream)
+        dx = nn.maxpool2x2_backward(idx, upstream[None])
         assert np.sum(dx) == pytest.approx(np.sum(upstream))
 
     def test_finite_differences_random(self):
@@ -230,14 +246,14 @@ class TestMaxPool:
         x = rng.standard_normal((6, 6, 2))
         upstream = rng.standard_normal((3, 3, 2))
 
-        _, idx = nn.maxpool2x2_forward(x)
-        dx = nn.maxpool2x2_backward(idx, upstream)
+        _, idx = nn.maxpool2x2_forward(x[None])
+        dx = nn.maxpool2x2_backward(idx, upstream[None])
 
         def loss(x_):
-            pooled, _ = nn.maxpool2x2_forward(x_)
-            return float(np.sum(pooled * upstream))
+            pooled, _ = nn.maxpool2x2_forward(x_[None])
+            return float(np.sum(pooled[0] * upstream))
 
-        assert max_rel_error(dx, central_diff_grad(loss, x)) < 1e-6
+        assert max_rel_error(dx[0], central_diff_grad(loss, x)) < 1e-6
 
 
 class TestRelu:
@@ -303,19 +319,19 @@ class TestDenseSoftmaxXent:
 
 class TestSgd:
     def test_plain_step(self):
-        w, v = nn.sgd_step(np.array([1.0]), np.array([0.5]), 0.1)
+        w, v = nn.sgd_step(np.array([1.0]), np.array([0.5]), 0.1, 0.0, np.zeros(1))
         assert w[0] == pytest.approx(0.95)
 
     def test_zero_grad_no_change(self):
         w0 = np.array([1.0, -2.0])
-        w, _ = nn.sgd_step(w0, np.zeros(2), 0.1, momentum=0.9)
+        w, _ = nn.sgd_step(w0, np.zeros(2), 0.1, momentum=0.9, velocity=np.zeros(2))
         np.testing.assert_array_equal(w, w0)
 
     def test_momentum_recursion(self):
         # hand-computed: v1 = g1, w1 = w0 - lr*v1; v2 = 0.9*v1 + g2, w2 = w1 - lr*v2
         w = np.array([1.0])
         g1, g2, lr = np.array([0.5]), np.array([0.25]), 0.1
-        w, v = nn.sgd_step(w, g1, lr, momentum=0.9)
+        w, v = nn.sgd_step(w, g1, lr, momentum=0.9, velocity=np.zeros(1))
         w, v = nn.sgd_step(w, g2, lr, momentum=0.9, velocity=v)
         v1 = 0.5
         w1 = 1.0 - 0.1 * v1
@@ -361,14 +377,14 @@ class TestDeterminism:
         rng = np.random.default_rng(31)
         x = rng.random((16, 16, 3), dtype=np.float32)
         params = make_conv(32, 8, 5, 3, padding=2)
-        a = nn.conv2d_forward(x, params)
-        b = nn.conv2d_forward(x.copy(), params)
+        a = nn.conv2d_forward(x[None], params)[0]
+        b = nn.conv2d_forward(x.copy()[None], params)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_outputs_finite(self):
         rng = np.random.default_rng(33)
         x = rng.random((16, 16, 3), dtype=np.float32)
         params = make_conv(34, 8, 5, 3, padding=2)
-        y = nn.conv2d_forward(x, params)
-        pooled, idx = nn.maxpool2x2_forward(nn.relu(y))
+        y = nn.conv2d_forward(x[None], params)[0]
+        pooled, idx = nn.maxpool2x2_forward(nn.relu(y)[None])
         assert np.isfinite(y).all() and np.isfinite(pooled).all()

@@ -625,9 +625,9 @@ class TestManifestRoundTrip:
         (("n_classes=3\noffset_0=0,0\noffset_1=4,0\noffset_2=-4,0", "n_classes=0"),
          "n_classes 0 below 2"),
         (("offset_2=", "offset_2=0,0\n#"), r"offset_0 and offset_2 both shift by \(0, 0\)"),
-        (("channels=Gr,L", "channels=Gr,Zq"), r"unknown channels \['Zq'\] in channels=Gr,Zq"),
-        (("channels=Gr,L", "channels=L,Gr,L"), "duplicate channels in channels=L,Gr,L"),
-        (("channels=Gr,L", "channels="), r"unknown channels \[''\] in channels="),
+        (("channels=Gr,L", "channels=Gr,Zq"), "unknown channels 'Zq' in channels='Gr,Zq'"),
+        (("channels=Gr,L", "channels=L,Gr,L"), "duplicate channels in channels='L,Gr,L'"),
+        (("channels=Gr,L", "channels="), "unknown channels '' in channels=''"),
     ])
     def test_table_entries_rejected_with_path(self, tmp_path, edit, match):
         manifest = DatasetManifest(
@@ -667,6 +667,16 @@ class TestManifestRoundTrip:
         path.write_text("format=mmreg-manifest-1\nsplit=train\n")
         with pytest.raises(FormatError, match="missing manifest key"):
             read_manifest(path)
+
+    def test_long_line_quoted_short(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("x" * (1 << 20) + "\n")
+        with pytest.raises(FormatError) as info:
+            read_manifest(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:1: expected key=value, got 'xxx"), message[:300]
+        assert f"and {(1 << 20) - 60} more characters" in message
+        assert len(message) < 300
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "weird.txt"

@@ -4,8 +4,12 @@ files.
 Each reader either parses the mutated file or raises FormatError or
 another ValueError; no other exception escapes. The per-example deadline
 catches a reader that loops over, or allocates for, a forged count
-instead of rejecting it.
+instead of rejecting it. The binary readers also refuse a file whose size
+differs from the one its header implies before they read its body.
 """
+
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from mmreg import cli, model
 from mmreg.offsets import generate_offsets
-from mmreg.pipeline import (DatasetManifest, Frame, read_frame, read_key_values, read_manifest,
+from mmreg.pipeline import (DatasetManifest, FormatError, Frame, read_frame, read_key_values, read_manifest,
                             write_frame, write_manifest)
 
 _, SUBCOMMANDS = cli.build_parser()
@@ -116,3 +120,20 @@ def test_mutated_file_parses_or_raises_value_error(valid, name, ops):
         READERS[name](path)
     except ValueError:  # FormatError included
         pass
+
+
+@pytest.mark.parametrize("name", ["frame.mmf", "checkpoint.mmrc"])
+def test_appended_zeros_rejected_before_the_body_is_read(valid, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes((valid / name).read_bytes())
+    size = path.stat().st_size
+    os.truncate(path, size + (64 << 20))  # sparse: the zeros take no disk
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f": {64 << 20} trailing bytes at byte offset "
+                                              f"{size}$"):
+            READERS[name](path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
