@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import evaluation, flow as flow_mod, model, pipeline, synth
 from .offsets import generate_offsets
-from .pipeline import FormatError, Frame, read_frame, read_manifest, write_frame
+from .pipeline import FormatError, Frame, quoted, read_frame, read_manifest, write_frame
 
 
 def parse_channels(text: str) -> list[str]:
@@ -37,29 +37,30 @@ def parse_channels(text: str) -> list[str]:
                     rest = rest[len(name):]
                     break
             else:
-                raise ValueError(f"cannot parse channel stack {text!r} at {rest!r}")
+                raise ValueError(f"cannot parse channel stack {quoted(text)} at {quoted(rest)}")
     if not names:
         raise ValueError("empty channel stack")
     for name in names:
         if name not in pipeline.CHANNEL_IDS:
-            raise ValueError(f"unknown channel {name!r} in {text!r}")
+            raise ValueError(f"unknown channel {quoted(name)} in {quoted(text)}")
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate channels in {text!r}")
+        raise ValueError(f"duplicate channels in {quoted(text)}")
     return names
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{what} must be 'x,y', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        x, y = map(float, text.split(","))
+    except ValueError:
+        raise ValueError(f"{what} must be 'x,y', got {quoted(text)}") from None
+    return x, y
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{what} must be comma-separated integers, got {quoted(text)}") from None
     if not values:
         raise ValueError(f"{what} is empty")
     return values
@@ -200,7 +201,7 @@ def cmd_train(args) -> int:
 
     filters = _parse_int_list(args.filters, "--filters")
     if len(filters) != 3:
-        raise ValueError(f"--filters needs three counts, got {args.filters!r}")
+        raise ValueError(f"--filters needs three counts, got {quoted(args.filters)}")
     config = model.ModelConfig(
         patch_size=manifest.patch_size,
         channels=tuple(selected),
@@ -382,12 +383,13 @@ def _typed_config_defaults(sub: Subcommand, pairs: dict[str, str], source: str) 
     defaults = {}
     for key, raw in pairs.items():
         if key not in sub.types:
-            raise ValueError(f"{source}: unknown config key {key!r}")
+            raise ValueError(f"{source}: unknown config key {quoted(key)}")
         kind = sub.types[key]
         try:
             defaults[key] = kind(raw) if kind else raw
-        except ValueError as exc:
-            raise ValueError(f"{source}: config key {key!r}: {exc}") from None
+        except ValueError:
+            raise ValueError(f"{source}: config key {quoted(key)}: {kind.__name__} expected, "
+                             f"got {quoted(raw)}") from None
     return defaults
 
 

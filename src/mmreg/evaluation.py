@@ -1,6 +1,8 @@
-"""Confusion matrices, the mean-diagonal accuracy metric, vote aggregation,
-evaluation runs over frame sets, and report artifacts (CSV tables + PPM
-images).
+"""The mean-diagonal accuracy metric, vote aggregation, evaluation runs over
+frame sets, and report artifacts (CSV tables + PPM images).
+
+A confusion matrix is a plain (N, N) int64 count array: rows are true
+classes, columns predicted classes.
 
 An evaluation run counts patch votes in one votes[offset, frame, class]
 array, and every report number is a reduction of it; a frame decision is a
@@ -38,46 +40,29 @@ PATCH_MAP_CELL = 8
 HEATMAP_CELL = 24
 
 
-class ConfusionMatrix:
-    """N x N counts: rows are true classes, columns predicted classes."""
-
-    def __init__(self, n_classes: int, counts: np.ndarray):
-        if n_classes < 1:
-            raise ValueError(f"need at least one class, got {n_classes}")
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (n_classes, n_classes):
-            raise ValueError(f"counts shape {counts.shape} does not match {n_classes} classes")
-        if (counts < 0).any():
-            raise ValueError("confusion counts must be non-negative")
-        self.n_classes, self.counts = n_classes, counts
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def mean_diagonal_accuracy(cm: ConfusionMatrix) -> float:
-    """Mean of per-class recall, in percent.
+def mean_diagonal_accuracy(cm: np.ndarray) -> float:
+    """Mean of per-class recall of an (N, N) count matrix, in percent.
 
     Classes with no true samples are excluded from the mean with a warning;
     an entirely empty matrix is rejected.
     """
-    row_sums = cm.counts.sum(axis=1)
+    row_sums = cm.sum(axis=1)
     populated = np.flatnonzero(row_sums > 0)
     if populated.size == 0:
         raise ValueError("confusion matrix has no samples")
-    if populated.size < cm.n_classes:
+    if populated.size < len(cm):
         empty = np.flatnonzero(row_sums == 0).tolist()
         warnings.warn(f"excluding classes with no samples from the diagonal mean: {empty}")
-    recalls = cm.counts[populated, populated] / row_sums[populated]
+    recalls = cm[populated, populated] / row_sums[populated]
     return float(recalls.mean() * 100.0)
 
 
-def overall_accuracy(cm: ConfusionMatrix) -> float:
+def overall_accuracy(cm: np.ndarray) -> float:
     """Raw fraction of correct predictions, in percent."""
-    if cm.total == 0:
+    total = cm.sum()
+    if total == 0:
         raise ValueError("confusion matrix has no samples")
-    return float(cm.counts.diagonal().sum() / cm.total * 100.0)
+    return float(cm.diagonal().sum() / total * 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +100,8 @@ def temporal_fuse(votes: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class EvalReport:
-    patch_cm: ConfusionMatrix
-    image_cm: ConfusionMatrix
+    patch_cm: np.ndarray
+    image_cm: np.ndarray
     temporal_accuracy: dict[int, float]
     no_decision_frames: int
     # first evaluated frame's patch-grid predictions per true class; -1 marks
@@ -124,13 +109,12 @@ class EvalReport:
     patch_maps: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _decision_cm(decisions: np.ndarray) -> ConfusionMatrix:
+def _decision_cm(decisions: np.ndarray) -> np.ndarray:
     """Confusion matrix of (classes, windows) decisions whose row i is true
     class i; no-decision windows (-1) stay out."""
     n_classes = len(decisions)
     pairs = (np.arange(n_classes)[:, None] * n_classes + decisions)[decisions >= 0]
-    return ConfusionMatrix(n_classes, np.bincount(pairs, minlength=n_classes ** 2)
-                           .reshape(n_classes, n_classes))
+    return np.bincount(pairs, minlength=n_classes ** 2).reshape(n_classes, n_classes)
 
 
 def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[OffsetClass],
@@ -189,10 +173,9 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
     frame_decisions = temporal_fuse(votes, 1)
     temporal = {k: mean_diagonal_accuracy(_decision_cm(temporal_fuse(votes, k)))
                 for k in k_values}
-    return EvalReport(patch_cm=ConfusionMatrix(n_classes, votes.sum(axis=1)),
-                      image_cm=_decision_cm(frame_decisions), temporal_accuracy=temporal,
-                      no_decision_frames=int((frame_decisions < 0).sum()),
-                      patch_maps=patch_maps)
+    return EvalReport(patch_cm=votes.sum(axis=1), image_cm=_decision_cm(frame_decisions),
+                      temporal_accuracy=temporal,
+                      no_decision_frames=int((frame_decisions < 0).sum()), patch_maps=patch_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +183,10 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
 # ---------------------------------------------------------------------------
 
 
-def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
+def write_confusion_csv(cm: np.ndarray, path) -> None:
     """Header row of predicted class ids, then one count row per true class."""
-    lines = [",".join(str(i) for i in range(cm.n_classes))]
-    for row in cm.counts:
+    lines = [",".join(str(i) for i in range(len(cm)))]
+    for row in cm:
         lines.append(",".join(str(int(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -235,10 +218,9 @@ def render_patch_map(grid: np.ndarray) -> np.ndarray:
                   PATCH_MAP_CELL)
 
 
-def render_heatmap(cm: ConfusionMatrix) -> np.ndarray:
+def render_heatmap(cm: np.ndarray) -> np.ndarray:
     """Row-normalized confusion matrix as a blue-to-red heat image."""
-    row_sums = np.maximum(cm.counts.sum(axis=1, keepdims=True), 1)
-    v = cm.counts / row_sums
+    v = cm / np.maximum(cm.sum(axis=1, keepdims=True), 1)
     return _cells(np.rint(np.stack([255 * v, 64 * v, 255 * (1 - v)], axis=-1)), HEATMAP_CELL)
 
 
@@ -248,7 +230,7 @@ def emit_report(report: EvalReport, out_dir) -> list[str]:
 
     Same report -> byte-identical files.
     """
-    if report.patch_cm.total == 0:
+    if report.patch_cm.sum() == 0:
         raise ValueError("empty report: no classified patches")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .pipeline import CHANNEL_IDS, FormatError, blas_workers, decode_text, parse_key_values
+from .pipeline import (CHANNEL_IDS, KEY_VALUE_MAX_BYTES, FormatError, blas_workers, decode_text,
+                       parse_key_values, quoted)
 
 CHECKPOINT_MAGIC = b"MMRC"
 CHECKPOINT_VERSION = 1
@@ -44,7 +45,9 @@ class ModelConfig:
         if self.patch_size <= 0 or self.patch_size % 8 != 0:
             raise ValueError(f"patch size must be a positive multiple of 8 "
                              f"(three pooling halvings), got {self.patch_size}")
-        if len(self.filters) != 3 or any(f < 1 for f in self.filters):
+        if len(self.filters) != 3:
+            raise ValueError(f"need three filter counts, got {len(self.filters)}")
+        if any(f < 1 for f in self.filters):
             raise ValueError(f"need three positive filter counts, got {self.filters}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel size must be odd, got {self.kernel_size}")
@@ -52,7 +55,8 @@ class ModelConfig:
             raise ValueError("channel list is empty")
         for name in self.channels:
             if name not in CHANNEL_IDS:
-                raise ValueError(f"unknown channel {name!r}; expected one of {list(CHANNEL_IDS)}")
+                raise ValueError(f"unknown channel {quoted(name)}; "
+                                 f"expected one of {list(CHANNEL_IDS)}")
         if len(set(self.channels)) != len(self.channels):
             raise ValueError(f"duplicate channels in {self.channels}")
         if self.n_classes < 2:
@@ -392,6 +396,10 @@ def load_checkpoint(path) -> Network:
             raise FormatError(f"{path}: unsupported checkpoint version {version}, "
                               f"expected {CHECKPOINT_VERSION}")
         offset = 12
+        if config_len > KEY_VALUE_MAX_BYTES:
+            raise FormatError(f"{path}: config block of {config_len} bytes at byte offset "
+                              f"{offset}, over the {KEY_VALUE_MAX_BYTES}-byte cap on "
+                              "key=value text")
         if size < offset + config_len:
             raise FormatError(f"{path}: truncated config block at byte offset {offset}")
         config = _config_from_text(decode_text(fh.read(config_len), path, offset), str(path))

@@ -37,6 +37,9 @@ DEFAULT_HEIGHT = 256
 # [0,1]-valued plane.
 DEFAULT_TAU = 0.15 * 0.25
 DEFAULT_FILL = 0.0
+# largest key=value file (manifest, --config, checkpoint config block) read
+# or written; room for over 200,000 frame entries with 255-byte names
+KEY_VALUE_MAX_BYTES = 64 << 20
 
 
 class FormatError(ValueError):
@@ -502,7 +505,8 @@ def manifest_text(manifest: DatasetManifest) -> str:
     """The manifest as key=value lines. A value that parse_key_values would
     not read back unchanged raises a ValueError naming its key: one that
     str.splitlines() splits, with whitespace at either end, or holding a
-    code point that UTF-8 cannot encode (a lone surrogate)."""
+    code point that UTF-8 cannot encode (a lone surrogate). So does a text
+    over KEY_VALUE_MAX_BYTES, which read_key_values refuses."""
     pairs = [
         ("format", "mmreg-manifest-1"),
         ("split", manifest.split),
@@ -521,10 +525,15 @@ def manifest_text(manifest: DatasetManifest) -> str:
     for key, value in pairs:
         if (value.strip() != value or "".join(value.splitlines()) != value
                 or value.encode(errors="replace").decode() != value):
-            raise ValueError(f"manifest {key} {value!r} would not read back: it holds a "
+            raise ValueError(f"manifest {key} {quoted(value)} would not read back: it holds a "
                              "line break, whitespace at either end or a code point that "
                              "UTF-8 cannot encode")
-    return "".join(f"{key}={value}\n" for key, value in pairs)
+    text = "".join(f"{key}={value}\n" for key, value in pairs)
+    size = len(text.encode())
+    if size > KEY_VALUE_MAX_BYTES:
+        raise ValueError(f"manifest of {size} bytes would not read back: over the "
+                         f"{KEY_VALUE_MAX_BYTES}-byte cap on key=value files")
+    return text
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
@@ -542,7 +551,7 @@ def decode_text(data: bytes, source, offset: int = 0) -> str:
                           f"{offset + exc.start} is not UTF-8") from None
 
 
-def _quoted(value: str) -> str:
+def quoted(value: str) -> str:
     """repr(value), or for a value over 60 characters the repr of its first
     60 and the count left out; file content quoted in an error message can
     be a line of any length."""
@@ -558,24 +567,41 @@ def parse_key_values(text: str, source: str = "<manifest>") -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise FormatError(f"{source}:{lineno}: expected key=value, got {_quoted(line)}")
+            raise FormatError(f"{source}:{lineno}: expected key=value, got {quoted(line)}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in pairs:
-            raise FormatError(f"{source}:{lineno}: repeated key {_quoted(key)}")
+            raise FormatError(f"{source}:{lineno}: repeated key {quoted(key)}")
         pairs[key] = value
     return pairs
 
 
 def read_key_values(path) -> dict[str, str]:
-    """parse_key_values over a UTF-8 text file."""
-    return parse_key_values(decode_text(Path(path).read_bytes(), path), source=str(path))
+    """parse_key_values over a UTF-8 text file of at most
+    KEY_VALUE_MAX_BYTES; a larger file is refused before it is read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size <= KEY_VALUE_MAX_BYTES:
+            # a pipe reports size 0, so the read stops one byte past the cap
+            data = fh.read(KEY_VALUE_MAX_BYTES + 1)
+            size = max(size, len(data))
+    if size > KEY_VALUE_MAX_BYTES:
+        raise FormatError(f"{path}: {size} bytes, over the {KEY_VALUE_MAX_BYTES}-byte cap "
+                          "on key=value files")
+    return parse_key_values(decode_text(data, path), source=str(path))
+
+
+def _float(text: str, key: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{key} {quoted(text)} is not a number") from None
 
 
 def read_manifest(path) -> DatasetManifest:
     pairs = read_key_values(path)
     try:
         if pairs["format"] != "mmreg-manifest-1":
-            raise ValueError(f"unknown manifest format {_quoted(pairs['format'])}")
+            raise ValueError(f"unknown manifest format {quoted(pairs['format'])}")
         n_classes = int(pairs["n_classes"])
         if n_classes < 2:
             raise ValueError(f"n_classes {n_classes} below 2")
@@ -604,15 +630,15 @@ def read_manifest(path) -> DatasetManifest:
         channels = pairs["channels"].split(",")
         unknown = [name for name in channels if name not in CHANNEL_IDS]
         if unknown:
-            raise ValueError(f"unknown channels {_quoted(','.join(unknown))} "
-                             f"in channels={_quoted(pairs['channels'])}")
+            raise ValueError(f"unknown channels {quoted(','.join(unknown))} "
+                             f"in channels={quoted(pairs['channels'])}")
         if len(set(channels)) != len(channels):
-            raise ValueError(f"duplicate channels in channels={_quoted(pairs['channels'])}")
+            raise ValueError(f"duplicate channels in channels={quoted(pairs['channels'])}")
         # a forged frame_count costs no more than the entries the file holds
         frame_files = ([pairs[f"frame_{i}"] for i in range(frame_count)]
                        if "frame_0" in pairs else [])
         patch_size, stride = int(pairs["patch_size"]), int(pairs["stride"])
-        tau, fill = float(pairs["tau"]), float(pairs["fill"])
+        tau, fill = _float(pairs["tau"], "tau"), _float(pairs["fill"], "fill")
         check_grid_params(patch_size, stride, tau, fill)
         return DatasetManifest(
             patch_size=patch_size,

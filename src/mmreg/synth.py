@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import DEFAULT_HEIGHT, DEFAULT_WIDTH, Frame
+from .pipeline import DEFAULT_HEIGHT, DEFAULT_WIDTH, Frame, quoted
 
 OBJECT_KINDS = ("rectangle", "ellipse")
 
@@ -45,7 +45,7 @@ class SceneConfig:
             raise ValueError("object_kinds is empty")
         for kind in self.object_kinds:
             if kind not in OBJECT_KINDS:
-                raise ValueError(f"unknown object kind {kind!r}; expected {OBJECT_KINDS}")
+                raise ValueError(f"unknown object kind {quoted(kind)}; expected {OBJECT_KINDS}")
         lo, hi = self.depth_range
         if not (0.0 < lo <= hi <= 1.0):
             raise ValueError(f"depth range must satisfy 0 < lo <= hi <= 1, got {self.depth_range}")

@@ -288,8 +288,8 @@ def test_criterion_7_end_to_end_experiment(experiment):
 
     for a, b in zip(experiment["net"].parameters(), experiment["rerun_net"].parameters()):
         np.testing.assert_array_equal(a, b)
-    assert np.array_equal(report.patch_cm.counts, experiment["rerun_report"].patch_cm.counts)
-    assert np.array_equal(report.image_cm.counts, experiment["rerun_report"].image_cm.counts)
+    assert np.array_equal(report.patch_cm, experiment["rerun_report"].patch_cm)
+    assert np.array_equal(report.image_cm, experiment["rerun_report"].image_cm)
     assert report.temporal_accuracy == experiment["rerun_report"].temporal_accuracy
 
     assert experiment["run_seconds"] < 600.0, \
@@ -367,16 +367,16 @@ def test_criterion_9_serialization(tmp_path):
 
 
 def test_criterion_10_metric_fidelity():
-    identity = evaluation.ConfusionMatrix(9, np.eye(9, dtype=np.int64) * 11)
+    identity = np.eye(9, dtype=np.int64) * 11
     assert evaluation.mean_diagonal_accuracy(identity) == pytest.approx(100.0)
 
-    uniform = evaluation.ConfusionMatrix(9, np.full((9, 9), 6, dtype=np.int64))
+    uniform = np.full((9, 9), 6, dtype=np.int64)
     value = evaluation.mean_diagonal_accuracy(uniform)
     assert value == pytest.approx(11.11, abs=0.01)
 
     rng = np.random.default_rng(11)
     counts = rng.integers(1, 99, size=(9, 9))
-    base = evaluation.mean_diagonal_accuracy(evaluation.ConfusionMatrix(9, counts))
-    scaled = evaluation.mean_diagonal_accuracy(evaluation.ConfusionMatrix(9, counts * 17))
+    base = evaluation.mean_diagonal_accuracy(counts)
+    scaled = evaluation.mean_diagonal_accuracy(counts * 17)
     assert scaled == pytest.approx(base, abs=1e-9)
     report_pass(10, f"identity 100%, uniform {value:.2f}% (11.11 +/- 0.01), scale-invariant")

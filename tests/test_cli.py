@@ -274,6 +274,18 @@ class TestDataset:
         assert err.startswith(f"error: manifest split {split!r} ") and err.count("\n") == 1, err
         assert not (tmp_path / "d").exists()
 
+    def test_manifest_over_the_read_cap_refused(self, small_corpus, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(pipeline, "KEY_VALUE_MAX_BYTES", 100)
+        capsys.readouterr()
+        assert run("dataset", "--in-dir", small_corpus / "flowed", "--out", tmp_path / "d",
+                   "--p", 16, "--s", 16, "--tau", 0, "--classes", 5, "--major", 8,
+                   "--minor", 4) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: manifest of \d{3} bytes would not read back: over the "
+                            r"100-byte cap on key=value files\n", err), err
+        assert not (tmp_path / "d").exists()
+
     def test_tau_filter_failure_message(self, tmp_path, capsys):
         # constant frames: everything filtered at positive tau
         src = tmp_path / "flat"
@@ -522,6 +534,41 @@ class TestConfigFile:
         config.write_text("seed=5\nframes=4\nseed=6\n")
         assert run("synth", "--config", config, "--out", tmp_path / "o") == 1
         assert capsys.readouterr().err == f"error: {config}:3: repeated key 'seed'\n"
+
+
+LONG = "x" * (1 << 20)
+# (subcommand, manifest edits, --config text): each puts a 1 MiB value in
+# front of a check that quotes it
+OVERSIZED_CASES = {
+    "manifest-tau": ("train", {"tau": lambda v: LONG}, ""),
+    "config-key": ("synth", {}, f"{LONG}=1\n"),
+    "config-jitter": ("synth", {}, f"jitter={LONG}\n"),
+    "config-translate": ("synth", {}, f"translate={LONG}\n"),
+    "config-channels": ("train", {}, f"channels={LONG}\n"),
+    "config-k-list": ("eval", {}, f"k_list={LONG}\n"),
+    "config-kinds": ("synth", {}, f"kinds={LONG}\n"),
+}
+
+
+class TestOversizedValues:
+    """A value of any length is quoted short: one error line, no output."""
+
+    @pytest.mark.parametrize("case", list(OVERSIZED_CASES))
+    def test_one_short_error_line(self, small_corpus, tmp_path, capsys, case):
+        command, edits, config_text = OVERSIZED_CASES[case]
+        manifest = edited_manifest(small_corpus, tmp_path / "ds", edits)
+        config = tmp_path / "conf.txt"
+        config.write_text(config_text)
+        inputs = {"synth": (), "train": ("--dataset", manifest),
+                  "eval": ("--checkpoint", tmp_path / "absent.mmrc", "--dataset", manifest)}
+        capsys.readouterr()
+        assert run(command, *inputs[command], "--config", config,
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err[:300]
+        beyond = err.replace(str(manifest), "").replace(str(config), "")
+        assert len(beyond) <= 300, err[:400]
+        assert not (tmp_path / "out").exists()
 
 
 class TestMemoryBackstop:

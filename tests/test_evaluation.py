@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mmreg import evaluation, model, pipeline
-from mmreg.evaluation import (ConfusionMatrix, EvalReport, emit_report, evaluate_run,
+from mmreg.evaluation import (EvalReport, emit_report, evaluate_run,
                               mean_diagonal_accuracy, overall_accuracy, render_heatmap,
                               render_patch_map, temporal_fuse, vote_frame,
                               write_confusion_csv)
@@ -19,37 +19,34 @@ from mmreg.synth import SceneConfig, generate_sequence
 
 class TestMeanDiagonalAccuracy:
     def test_identity_is_perfect(self):
-        cm = ConfusionMatrix(9, np.eye(9, dtype=np.int64) * 7)
+        cm = np.eye(9, dtype=np.int64) * 7
         assert mean_diagonal_accuracy(cm) == pytest.approx(100.0)
 
     def test_uniform_is_chance(self):
-        cm = ConfusionMatrix(9, np.full((9, 9), 4, dtype=np.int64))
+        cm = np.full((9, 9), 4, dtype=np.int64)
         assert mean_diagonal_accuracy(cm) == pytest.approx(100.0 / 9, abs=0.01)
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(1)
         counts = rng.integers(1, 50, size=(5, 5))
-        cm1 = ConfusionMatrix(5, counts)
-        cm2 = ConfusionMatrix(5, counts * 13)
-        assert mean_diagonal_accuracy(cm1) == pytest.approx(mean_diagonal_accuracy(cm2))
+        assert mean_diagonal_accuracy(counts) == pytest.approx(mean_diagonal_accuracy(counts * 13))
 
     def test_empty_rows_excluded_with_warning(self):
         counts = np.zeros((3, 3), dtype=np.int64)
         counts[0, 0] = 5
         counts[1, 1] = 5
         counts[1, 0] = 5
-        cm = ConfusionMatrix(3, counts)
         with pytest.warns(UserWarning, match="no samples"):
-            value = mean_diagonal_accuracy(cm)
+            value = mean_diagonal_accuracy(counts)
         assert value == pytest.approx((100.0 + 50.0) / 2)
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
-            mean_diagonal_accuracy(ConfusionMatrix(4, np.zeros((4, 4))))
+            mean_diagonal_accuracy(np.zeros((4, 4)))
 
     def test_overall_accuracy(self):
         counts = np.array([[8, 2], [4, 6]], dtype=np.int64)
-        assert overall_accuracy(ConfusionMatrix(2, counts)) == pytest.approx(70.0)
+        assert overall_accuracy(counts) == pytest.approx(70.0)
 
 
 def frame_decision(ids, n_classes):
@@ -155,7 +152,7 @@ class TestFusionOracle:
                 decisions = temporal_fuse(votes, k)
                 assert decisions.tolist() == ref_decisions.tolist(), (trial, k)
                 cm = evaluation._decision_cm(decisions)
-                assert np.array_equal(cm.counts, ref_counts), (trial, k)
+                assert np.array_equal(cm, ref_counts), (trial, k)
                 summed = np.lib.stride_tricks.sliding_window_view(
                     votes, k, axis=1).sum(axis=-1)
                 top = summed.max(axis=-1, keepdims=True)
@@ -220,15 +217,15 @@ class TestEvaluateRun:
     def test_image_matrix_consistent_with_votes(self):
         net, frames, offsets = make_eval_fixture(n_frames=2)
         report = evaluate_run(net, frames, offsets, k_values=[1], stride=32, tau=0.0)
-        assert report.image_cm.total + report.no_decision_frames == len(frames) * len(offsets)
-        assert report.patch_cm.total > 0
+        assert report.image_cm.sum() + report.no_decision_frames == len(frames) * len(offsets)
+        assert report.patch_cm.sum() > 0
 
     def test_deterministic(self):
         net, frames, offsets = make_eval_fixture(n_frames=2)
         r1 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
         r2 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
-        assert np.array_equal(r1.patch_cm.counts, r2.patch_cm.counts)
-        assert np.array_equal(r1.image_cm.counts, r2.image_cm.counts)
+        assert np.array_equal(r1.patch_cm, r2.patch_cm)
+        assert np.array_equal(r1.image_cm, r2.image_cm)
         assert r1.temporal_accuracy == r2.temporal_accuracy
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -240,8 +237,8 @@ class TestEvaluateRun:
         monkeypatch.setenv("MMREG_THREADS", str(workers))
         assert pipeline.blas_workers() == workers
         r2 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
-        assert np.array_equal(r1.patch_cm.counts, r2.patch_cm.counts)
-        assert np.array_equal(r1.image_cm.counts, r2.image_cm.counts)
+        assert np.array_equal(r1.patch_cm, r2.patch_cm)
+        assert np.array_equal(r1.image_cm, r2.image_cm)
         assert r1.temporal_accuracy == r2.temporal_accuracy
         assert r1.no_decision_frames == r2.no_decision_frames
         assert r1.patch_maps.keys() == r2.patch_maps.keys()
@@ -385,8 +382,8 @@ def loop_patch_map(grid):
 def loop_heatmap(cm):
     """render_heatmap as it was, one cell at a time: the reference."""
     cell = evaluation.HEATMAP_CELL
-    norm = cm.counts / np.maximum(cm.counts.sum(axis=1, keepdims=True), 1)
-    n = cm.n_classes
+    norm = cm / np.maximum(cm.sum(axis=1, keepdims=True), 1)
+    n = len(cm)
     img = np.zeros((n * cell, n * cell, 3), dtype=np.uint8)
     for i in range(n):
         for j in range(n):
@@ -399,8 +396,8 @@ def loop_heatmap(cm):
 class TestReportEmission:
     def make_report(self):
         rng = np.random.default_rng(2)
-        patch = ConfusionMatrix(9, rng.integers(0, 40, size=(9, 9)))
-        image = ConfusionMatrix(9, rng.integers(0, 10, size=(9, 9)))
+        patch = rng.integers(0, 40, size=(9, 9))
+        image = rng.integers(0, 10, size=(9, 9))
         maps = {0: rng.integers(-1, 9, size=(8, 25))}
         return EvalReport(patch_cm=patch, image_cm=image,
                           temporal_accuracy={1: 76.33, 2: 85.42},
@@ -412,7 +409,7 @@ class TestReportEmission:
         write_confusion_csv(report.patch_cm, path)
         header, *rows = path.read_text().splitlines()
         assert header == ",".join(str(i) for i in range(9))
-        assert rows == [",".join(str(v) for v in row) for row in report.patch_cm.counts]
+        assert rows == [",".join(str(v) for v in row) for row in report.patch_cm]
 
     def test_emit_writes_expected_files(self, tmp_path):
         report = self.make_report()
@@ -441,8 +438,7 @@ class TestReportEmission:
 
     def test_empty_report_rejected(self, tmp_path):
         empty = np.zeros((3, 3))
-        report = EvalReport(patch_cm=ConfusionMatrix(3, empty), image_cm=ConfusionMatrix(3, empty),
-                            temporal_accuracy={}, no_decision_frames=0)
+        report = EvalReport(patch_cm=empty, image_cm=empty, temporal_accuracy={}, no_decision_frames=0)
         with pytest.raises(ValueError, match="empty report"):
             emit_report(report, tmp_path / "out")
 
@@ -456,8 +452,7 @@ class TestReportEmission:
             n = int(rng.integers(1, 10))
             counts = rng.integers(0, 1 + 10 ** int(rng.integers(0, 4)), size=(n, n))
             counts[rng.integers(0, n)] = 0  # a class with no samples
-            cm = ConfusionMatrix(n, counts)
-            img, ref = render_heatmap(cm), loop_heatmap(cm)
+            img, ref = render_heatmap(counts), loop_heatmap(counts)
             assert img.shape == ref.shape and img.tobytes() == ref.tobytes(), trial
 
     def test_temporal_table_layout(self, tmp_path):

@@ -450,6 +450,21 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("old, new, match", [
+        (b"channels=Gr", b"channels=" + b"x" * (1 << 20), "^unknown channel 'xxx"),
+        (b"filters=2,2,2", b"filters=2" + b",2" * 200_000, "^need three filter counts, got 200001$"),
+    ], ids=["channel", "filters"])
+    def test_long_config_value_reported_short(self, tmp_path, old, new, match):
+        path = tmp_path / "model.mmrc"
+        model.save_checkpoint(model.build_model(TINY), path)
+        data = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", data, 8)
+        text = data[12:12 + config_len].replace(old, new)
+        path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + config_len:])
+        with pytest.raises(ValueError, match=match) as info:
+            model.load_checkpoint(path)
+        assert len(str(info.value)) <= 300, str(info.value)[:400]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where, name", [(0, "conv0.kernels"), (-1, "dense_weights")])
     def test_non_finite_weight_rejected(self, tmp_path, value, where, name):

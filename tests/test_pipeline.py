@@ -655,6 +655,24 @@ class TestManifestRoundTrip:
                                               "repeated key 'n_classes'$"):
             read_manifest(path)
 
+    def test_size_cap_written_and_read_alike(self, tmp_path, monkeypatch):
+        manifest = DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L"],
+            offsets=generate_offsets(3, 8, 4, 0.0), tau=0.0, fill=0.0, seed=0,
+            frame_count=1, patch_count=1, frame_files=["f\u00e9.mmf"])
+        size = len(pipeline.manifest_text(manifest).encode())
+        path = tmp_path / "manifest.txt"
+        monkeypatch.setattr(pipeline, "KEY_VALUE_MAX_BYTES", size)
+        write_manifest(manifest, path)
+        assert read_manifest(path) == manifest
+        monkeypatch.setattr(pipeline, "KEY_VALUE_MAX_BYTES", size - 1)
+        with pytest.raises(ValueError, match=f"^manifest of {size} bytes would not read back: "
+                                             f"over the {size - 1}-byte cap"):
+            pipeline.manifest_text(manifest)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {size} bytes, over "
+                                              f"the {size - 1}-byte cap on key=value files$"):
+            read_manifest(path)
+
     def test_non_utf8_byte_rejected_with_offset(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_bytes(b"format=mmreg-manifest-1\nsplit=tr\xe9in\n")

@@ -2,7 +2,8 @@
 files.
 
 Each reader either parses the mutated file or raises FormatError or
-another ValueError; no other exception escapes. The per-example deadline
+another ValueError whose message, past the file's path, is one line of at
+most 300 characters; no other exception escapes. The per-example deadline
 catches a reader that loops over, or allocates for, a forged count
 instead of rejecting it. The binary readers also refuse a file whose size
 differs from the one its header implies before they read its body.
@@ -17,12 +18,13 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from mmreg import cli, model
 from mmreg.offsets import generate_offsets
-from mmreg.pipeline import (DatasetManifest, FormatError, Frame, read_frame, read_key_values, read_manifest,
-                            write_frame, write_manifest)
+from mmreg.pipeline import (KEY_VALUE_MAX_BYTES, DatasetManifest, FormatError, Frame, read_frame,
+                            read_key_values, read_manifest, write_frame, write_manifest)
 
 _, SUBCOMMANDS = cli.build_parser()
 
 NUMBERS = (b"nan", b"inf", b"-1", b"0", b"99999999", b"1e308")
+LONG_VALUE = b"x" * 100_000
 TOKENS = NUMBERS + (b"\xff\xff\xff\xff", b"\x00\x00\x00\x00", b"=", b",", b"\n")
 
 position = st.integers(0, 1 << 16)
@@ -87,9 +89,10 @@ def valid(tmp_path_factory):
 
 def every_value_forged(test):
     """Explicit examples: each of the first 24 values set to each number,
-    so every count field meets a forged value whatever the random draw."""
+    so every count field meets a forged value whatever the random draw, and
+    to LONG_VALUE, so every message that quotes a value meets a long one."""
     for index in range(24):
-        for number in NUMBERS:
+        for number in NUMBERS + (LONG_VALUE,):
             test = example(ops=[("value", index, number)])(test)
     return test
 
@@ -118,8 +121,9 @@ def test_mutated_file_parses_or_raises_value_error(valid, name, ops):
     path.write_bytes(mutate((valid / name).read_bytes(), ops))
     try:
         READERS[name](path)
-    except ValueError:  # FormatError included
-        pass
+    except ValueError as exc:  # FormatError included
+        message = str(exc).replace(str(path), "")
+        assert "\n" not in message and len(message) <= 300, message[:400]
 
 
 @pytest.mark.parametrize("name", ["frame.mmf", "checkpoint.mmrc"])
@@ -136,4 +140,40 @@ def test_appended_zeros_rejected_before_the_body_is_read(valid, tmp_path, name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 8 << 20, peak
+
+
+def traced_peak(read, path):
+    """read(path)'s FormatError message and the traced memory peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return str(info.value), peak
+
+
+@pytest.mark.parametrize("name", ["manifest.txt", "synth.conf"])
+def test_key_value_file_over_the_cap_refused_unread(valid, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes((valid / name).read_bytes())
+    os.truncate(path, KEY_VALUE_MAX_BYTES + 1)  # sparse: the zeros take no disk
+    message, peak = traced_peak(READERS[name], path)
+    assert message == (f"{path}: {KEY_VALUE_MAX_BYTES + 1} bytes, over the "
+                       f"{KEY_VALUE_MAX_BYTES}-byte cap on key=value files")
+    assert peak < 8 << 20, peak
+
+
+def test_checkpoint_config_block_over_the_cap_refused_unread(valid, tmp_path):
+    path = tmp_path / "checkpoint.mmrc"
+    data = bytearray((valid / "checkpoint.mmrc").read_bytes())
+    config_len = KEY_VALUE_MAX_BYTES + 1
+    data[8:12] = config_len.to_bytes(4, "little")
+    path.write_bytes(data)
+    os.truncate(path, 12 + config_len + len(data))  # the block fits: only the cap refuses it
+    message, peak = traced_peak(model.load_checkpoint, path)
+    assert message == (f"{path}: config block of {config_len} bytes at byte offset 12, over "
+                       f"the {KEY_VALUE_MAX_BYTES}-byte cap on key=value text")
     assert peak < 8 << 20, peak
