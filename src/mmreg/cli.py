@@ -210,11 +210,13 @@ def cmd_train(args) -> int:
         n_classes=len(manifest.offsets),
         seed=args.seed,
     )
-    net = model.build_model(config)
     train_config = model.TrainConfig(batch_size=args.batch, epochs=args.epochs,
                                      learning_rate=args.lr, momentum=args.momentum,
                                      seed=args.seed)
     train_config.validate()  # before the frames are read
+    # and the size ceilings before the weights are made
+    model.require_sizes(config, min(train_config.batch_size, manifest.patch_count))
+    net = model.build_model(config)
 
     paths = _manifest_frame_paths(manifest_path, manifest, args.frames)
     frames = list(_read_frames(paths))

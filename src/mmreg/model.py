@@ -23,13 +23,27 @@ from .pipeline import (CHANNEL_IDS, KEY_VALUE_MAX_BYTES, FormatError, blas_worke
 
 CHECKPOINT_MAGIC = b"MMRC"
 CHECKPOINT_VERSION = 1
-# patches per conv-stage block in predict_batch: blocks of 8 and 16 ran a
-# 72-patch batch about equally fast, 32 and one whole-batch block slower;
-# 8 holds the least memory
+# patches per conv-stage block in predict_batch: with one GEMM per conv
+# call, blocks of 8, 16 and 32 ran a 512-patch batch about equally fast and
+# 2 and 4 slower; 8 holds the least memory
 CONV_BLOCK = 8
 # patches per dense-layer call in predict_batch, whose bits depend on the
 # row count
 PREDICT_CHUNK = 512
+# ceilings, checked before allocating, on a network's float32 weights and
+# on the buffers of one training batch; the default network at batch 100
+# takes 0.4 MB and about 170 MB
+MAX_WEIGHT_BYTES = 1 << 30
+MAX_BATCH_WORK_BYTES = 1 << 31
+
+
+def _number(n: int) -> str:
+    """n for an error message, cut by quoted: a config value can have
+    thousands of digits, and a product of them more than str() converts."""
+    if n.bit_length() > 14_000:  # about 4,200 digits; str() refuses past 4,300
+        return f"2**{n.bit_length() - 1} or more"
+    text = str(n)
+    return text if len(text) <= 60 else quoted(text)
 
 
 @dataclass
@@ -44,13 +58,14 @@ class ModelConfig:
     def validate(self) -> None:
         if self.patch_size <= 0 or self.patch_size % 8 != 0:
             raise ValueError(f"patch size must be a positive multiple of 8 "
-                             f"(three pooling halvings), got {self.patch_size}")
+                             f"(three pooling halvings), got {_number(self.patch_size)}")
         if len(self.filters) != 3:
             raise ValueError(f"need three filter counts, got {len(self.filters)}")
-        if any(f < 1 for f in self.filters):
-            raise ValueError(f"need three positive filter counts, got {self.filters}")
+        for f in self.filters:
+            if f < 1:
+                raise ValueError(f"need three positive filter counts, got {_number(f)}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel size must be odd, got {self.kernel_size}")
+            raise ValueError(f"kernel size must be odd, got {_number(self.kernel_size)}")
         if not self.channels:
             raise ValueError("channel list is empty")
         for name in self.channels:
@@ -60,12 +75,18 @@ class ModelConfig:
         if len(set(self.channels)) != len(self.channels):
             raise ValueError(f"duplicate channels in {self.channels}")
         if self.n_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.n_classes}")
+            raise ValueError(f"need at least 2 classes, got {_number(self.n_classes)}")
 
     @property
     def dense_inputs(self) -> int:
         side = self.patch_size // 8
         return side * side * self.filters[2]
+
+    @property
+    def weight_count(self) -> int:
+        """Kernels, biases and dense weights of the network."""
+        conv = sum(math.prod(shape) + shape[0] for shape in _kernel_shapes(self))
+        return conv + self.n_classes * self.dense_inputs
 
 
 @dataclass
@@ -109,9 +130,41 @@ def _kernel_shapes(config: ModelConfig) -> list[tuple[int, int, int, int]]:
     return [(c_out, k, k, c_in) for c_in, c_out in zip(depths, config.filters)]
 
 
+def _stage_shapes(config: ModelConfig, sample_shape, capacity: int) -> list[tuple]:
+    """(im2col rows, conv output, pooled output) shapes of each conv stage
+    for capacity (h, w, c) samples."""
+    h, w, _ = sample_shape
+    k, pad = config.kernel_size, (config.kernel_size - 1) // 2
+    shapes = []
+    for c_out, _, _, c_in in _kernel_shapes(config):
+        h, w = (nn._conv_out_size(side, k, pad) for side in (h, w))
+        shapes.append(((capacity, h * w, k * k * c_in), (capacity, h, w, c_out),
+                       (capacity, h // 2, w // 2, c_out)))
+        h, w = h // 2, w // 2
+    return shapes
+
+
+def require_sizes(config: ModelConfig, batch: int = 0, itemsize: int = 4) -> None:
+    """Validate config, then refuse, before anything is allocated, a network
+    whose float32 weights take over MAX_WEIGHT_BYTES, or whose training
+    buffers for batches of `batch` patches of itemsize-byte values take over
+    MAX_BATCH_WORK_BYTES."""
+    config.validate()
+    weight_bytes = 4 * config.weight_count
+    if weight_bytes > MAX_WEIGHT_BYTES:
+        raise ValueError(f"the network's weights take {_number(weight_bytes)} bytes, "
+                         f"over the {MAX_WEIGHT_BYTES}-byte cap")
+    sample_shape = (config.patch_size, config.patch_size, len(config.channels))
+    work_bytes = itemsize * sum(math.prod(shape) for stage in
+                                _stage_shapes(config, sample_shape, batch) for shape in stage)
+    if work_bytes > MAX_BATCH_WORK_BYTES:
+        raise ValueError(f"training buffers for batches of {batch} take {work_bytes} bytes, "
+                         f"over the {MAX_BATCH_WORK_BYTES}-byte cap; lower the batch size")
+
+
 def build_model(config: ModelConfig) -> Network:
     """He-initialized network per the config; biases start at zero."""
-    config.validate()
+    require_sizes(config)
     pad = (config.kernel_size - 1) // 2
     layers = []
     for i, shape in enumerate(_kernel_shapes(config)):
@@ -131,7 +184,7 @@ def _conv_stages(net: Network, x: np.ndarray) -> np.ndarray:
     """Pooled output of the conv -> relu -> pool stages for x (B, p, p, C)."""
     a = x
     for layer in net.conv_layers:
-        a, _ = nn.maxpool2x2_forward(nn.relu(nn.conv2d_forward(a, layer)))
+        a = nn.maxpool2x2(nn.relu(nn.conv2d_forward(a, layer)))
     return a
 
 
@@ -148,15 +201,12 @@ class _BatchWork:
                  blocks: int = 1, pool: ThreadPoolExecutor | None = None):
         self.blocks, self.pool = blocks, pool
         self.cols, self.z, self.pooled = [], [], []
-        h, w, _ = sample_shape
-        for layer in net.conv_layers:
-            k = layer.kernel_size
-            h, w = (nn._conv_out_size(side, k, layer.padding) for side in (h, w))
-            self.cols.append(np.empty((capacity, h * w, k * k * layer.in_channels), dtype))
+        for layer, (cols, z, pooled) in zip(net.conv_layers,
+                                            _stage_shapes(net.config, sample_shape, capacity)):
+            self.cols.append(np.empty(cols, dtype))
             dtype = np.result_type(dtype, layer.kernels, layer.biases)
-            self.z.append(np.empty((capacity, h, w, layer.out_channels), dtype))
-            h, w = h // 2, w // 2
-            self.pooled.append(np.empty((capacity, h, w, layer.out_channels), dtype))
+            self.z.append(np.empty(z, dtype))
+            self.pooled.append(np.empty(pooled, dtype))
 
     def bounds(self, n: int) -> list[tuple[int, int]]:
         """[start, stop) of each contiguous block of an n-sample batch."""
@@ -284,8 +334,10 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
     if x.shape[1:] != expected:
         raise ValueError(f"sample shape {x.shape[1:]} does not match model input {expected}")
 
-    rng = np.random.default_rng(config.seed)
     n = x.shape[0]
+    require_sizes(net.config, min(config.batch_size, n),
+                  np.result_type(x, *net.parameters()).itemsize)
+    rng = np.random.default_rng(config.seed)
     velocities = [np.zeros_like(p) for p in net.parameters()]
     history = []
     blocks = blas_workers()
@@ -408,12 +460,12 @@ def load_checkpoint(path) -> Network:
 
         # size the weights from the config before allocating them, so a forged
         # filter count cannot force a huge allocation
-        weight_count = sum(math.prod(shape) + shape[0] for shape in _kernel_shapes(config))
-        weight_count += config.n_classes * config.dense_inputs
-        if size - offset < 4 * weight_count:
+        weight_bytes = 4 * config.weight_count
+        if size - offset < weight_bytes:
             raise FormatError(f"{path}: truncated weights at byte offset {offset} "
-                              f"(config needs {4 * weight_count} bytes, have {size - offset})")
-        end = offset + 4 * weight_count
+                              f"(config needs {_number(weight_bytes)} bytes, "
+                              f"have {size - offset})")
+        end = offset + weight_bytes
         if size != end:
             raise FormatError(f"{path}: {size - end} trailing bytes at byte offset {end}")
 

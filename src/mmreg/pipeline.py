@@ -581,8 +581,12 @@ def read_key_values(path) -> dict[str, str]:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size <= KEY_VALUE_MAX_BYTES:
-            # a pipe reports size 0, so the read stops one byte past the cap
-            data = fh.read(KEY_VALUE_MAX_BYTES + 1)
+            # a read of n bytes allocates n first, so read one byte past the
+            # file's size, and only past that (up to one byte past the cap)
+            # when the file grew or is a pipe, which reports size 0
+            data = fh.read(size + 1)
+            if len(data) > size:
+                data += fh.read(KEY_VALUE_MAX_BYTES + 1 - len(data))
             size = max(size, len(data))
     if size > KEY_VALUE_MAX_BYTES:
         raise FormatError(f"{path}: {size} bytes, over the {KEY_VALUE_MAX_BYTES}-byte cap "

@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences and error measures,
-and networks cast to another precision."""
+networks cast to another precision, and the forward pass as first
+written."""
 
 import numpy as np
 
@@ -47,3 +48,50 @@ def cast_network(net, dtype):
                             padding=c.padding)
               for c in net.conv_layers]
     return model.Network(net.config, layers, net.dense_weights.astype(dtype))
+
+
+# The forward pass as it was before conv2d_forward ran one GEMM per call
+# and inference pooled without winner indices: np.pad, one np.matmul of
+# (B, P, k*k*Cin) rows (a GEMM per patch) and pooling that also finds the
+# winners. The bit-identity oracles of the forward.
+
+def conv2d_forward_oracle(x, params):
+    b, h, w, c = x.shape
+    k, pad, n_k = params.kernel_size, params.padding, params.out_channels
+    out_h, out_w = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    view = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    cols = np.ascontiguousarray(view.transpose(0, 1, 2, 4, 5, 3))
+    y = np.matmul(cols.reshape(b, out_h * out_w, k * k * c), params.kernels.reshape(n_k, -1).T)
+    y += params.biases
+    return y.reshape(b, out_h, out_w, n_k)
+
+
+def maxpool2x2_oracle(x):
+    q = [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    pooled = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    n0, n1, n2 = ((qk != pooled).view(np.uint8) for qk in q[:3])
+    idx = n0 * (1 + n1 * (1 + n2))
+    if x.view(f"u{x.itemsize}").max(initial=0) >> (8 * x.itemsize - 1):
+        zero = np.nonzero(pooled == 0)
+        k = idx[zero]
+        pooled[zero] = x[zero[0], 2 * zero[1] + k // 2, 2 * zero[2] + k % 2, zero[3]]
+    return pooled, idx
+
+
+def predict_batch_oracle(net, patches, block=8, chunk_size=512):
+    """predict_batch over the oracle forward, in the same blocks and chunks."""
+    ids = np.empty(patches.shape[0], dtype=np.int64)
+    probs = np.empty((patches.shape[0], net.config.n_classes), dtype=np.float64)
+    for start in range(0, patches.shape[0], chunk_size):
+        chunk = patches[start:start + chunk_size]
+        pooled = []
+        for i in range(0, chunk.shape[0], block):
+            a = chunk[i:i + block]
+            for layer in net.conv_layers:
+                a = maxpool2x2_oracle(nn.relu(conv2d_forward_oracle(a, layer)))[0]
+            pooled.append(a)
+        p = nn.softmax(np.concatenate(pooled).reshape(chunk.shape[0], -1) @ net.dense_weights.T)
+        ids[start:start + chunk.shape[0]] = p.argmax(axis=1)
+        probs[start:start + chunk.shape[0]] = p
+    return ids, probs

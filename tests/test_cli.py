@@ -6,13 +6,14 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmreg
-from mmreg import cli, model, pipeline, synth
+from mmreg import cli, model, nn, pipeline, synth
 from mmreg.cli import main, parse_channels
 from mmreg.pipeline import Frame, read_frame, read_manifest, write_frame
 
@@ -453,6 +454,26 @@ class TestTrainEval:
         assert (tmp_path / "arrays" / "checkpoint.mmrc").read_bytes() == \
             (tmp_path / "ref" / "checkpoint.mmrc").read_bytes()
 
+    def test_eval_finds_no_winner_indices(self, small_corpus, tmp_path, monkeypatch):
+        ds = small_corpus / "ds" / "manifest.txt"
+        assert run("train", "--dataset", ds, "--out", tmp_path / "run", "--channels", "Gr,L",
+                   "--filters", "2,2,2", "--kernel", 3, "--epochs", 1, "--seed", 5) == 0
+        argv = ("eval", "--checkpoint", tmp_path / "run" / "checkpoint.mmrc", "--dataset", ds,
+                "--k-list", "1,2", "--out", tmp_path / "report")
+        assert run(*argv) == 0
+        (tmp_path / "report").rename(tmp_path / "ref")
+
+        def no_winners(*args):
+            raise AssertionError("eval asked for pooling winner indices")
+
+        monkeypatch.setattr(nn, "maxpool2x2_forward", no_winners)
+        assert run(*argv) == 0
+        names = sorted(path.name for path in (tmp_path / "ref").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "report").iterdir())
+        for name in names:
+            assert (tmp_path / "report" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes(), name
+
     def test_missing_checkpoint_fails(self, small_corpus, tmp_path, capsys):
         ds = small_corpus / "ds" / "manifest.txt"
         code = run("eval", "--checkpoint", tmp_path / "absent.mmrc",
@@ -569,6 +590,45 @@ class TestOversizedValues:
         beyond = err.replace(str(manifest), "").replace(str(config), "")
         assert len(beyond) <= 300, err[:400]
         assert not (tmp_path / "out").exists()
+
+
+SIZE_CASES = {
+    "filters": (("--filters", "100000,100000,100000"),
+                rf"weights take \d+ bytes, over the {model.MAX_WEIGHT_BYTES}-byte cap"),
+    "kernel": (("--kernel", 10001),
+               rf"weights take \d+ bytes, over the {model.MAX_WEIGHT_BYTES}-byte cap"),
+    # the im2col rows alone would take 5.5 GB
+    "kernel-batch": (("--kernel", 31, "--batch", 100),
+                     rf"batches of 100 take 55\d{{8}} bytes, over the "
+                     rf"{model.MAX_BATCH_WORK_BYTES}-byte cap"),
+}
+
+
+class TestSizeCeilings:
+    """Model flags that would size huge weights or training buffers are
+    refused before anything large is allocated: one error line, no output."""
+
+    @pytest.mark.parametrize("case", list(SIZE_CASES))
+    def test_refused_before_allocating(self, small_corpus, tmp_path, capsys, case):
+        flags, match = SIZE_CASES[case]
+        ds = tmp_path / "ds32"  # 135 patches of 32x32, enough for a batch of 100
+        assert run("dataset", "--in-dir", small_corpus / "flowed", "--out", ds,
+                   "--p", 32, "--s", 16, "--tau", 0, "--classes", 5,
+                   "--major", 8, "--minor", 4) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run("train", "--dataset", ds / "manifest.txt", "--epochs", 1, *flags,
+                       "--out", tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert re.search(match, err), err
+        assert not (tmp_path / "out").exists()
+        assert peak < 8 << 20
 
 
 class TestMemoryBackstop:

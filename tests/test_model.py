@@ -11,7 +11,7 @@ import pytest
 
 from mmreg import model, nn, pipeline
 from mmreg.pipeline import FormatError
-from helpers import cast_network, central_diff_grad, max_rel_error
+from helpers import cast_network, central_diff_grad, max_rel_error, predict_batch_oracle
 
 TINY = model.ModelConfig(patch_size=8, channels=("Gr", "L"), filters=(2, 2, 2),
                          kernel_size=3, n_classes=3, seed=11)
@@ -67,6 +67,20 @@ class TestBuildModel:
             shapes = model.forward_shapes(net)
             assert shapes[1] == (32, 32, 32)
             assert shapes[-2] == (4, 4, 64)
+
+    @pytest.mark.parametrize("changes", [{"filters": (100_000,) * 3}, {"kernel_size": 10_001}],
+                             ids=["filters", "kernel"])
+    def test_weight_cap_refused_before_allocating(self, changes):
+        config = model.ModelConfig(**changes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"weights take \d+ bytes, over the "
+                               f"{model.MAX_WEIGHT_BYTES}-byte cap"):
+                model.build_model(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_biases_start_at_zero(self):
         net = model.build_model(TINY)
@@ -129,6 +143,21 @@ class TestTrain:
         x = tiny_patches(rng, 4)
         with pytest.raises(ValueError, match="labels outside"):
             model.train(net, x, np.array([0, 1, 2, 3]), model.TrainConfig())
+
+    def test_batch_buffer_cap_refused_before_allocating(self):
+        # kernel 31 at batch 100: the im2col rows alone would take 5.5 GB
+        net = model.build_model(model.ModelConfig(kernel_size=31))
+        x = np.zeros((100, 32, 32, 4), dtype=np.float32)
+        y = np.zeros(100, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"batches of 100 take 55\d{8} bytes, over the "
+                               f"{model.MAX_BATCH_WORK_BYTES}-byte cap"):
+                model.train(net, x, y, model.TrainConfig(batch_size=100, epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_batched_loss_matches_single_sample_op(self):
         rng = np.random.default_rng(8)
@@ -371,6 +400,39 @@ class TestPredict:
         assert ids.tobytes() == want_ids.tobytes()
         assert probs.tobytes() == want_probs.tobytes()
 
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 30, 513])
+    def test_same_bytes_as_oracle_forward(self, count):
+        net = model.build_model(model.ModelConfig(seed=6))  # the default network
+        patches = np.random.default_rng(100 + count).random((count, 32, 32, 4),
+                                                            dtype=np.float32)
+        ids, probs = model.predict_batch(net, patches)
+        want_ids, want_probs = predict_batch_oracle(net, patches, model.CONV_BLOCK,
+                                                    model.PREDICT_CHUNK)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+
+    def test_probabilities_pinned(self):
+        # speed-ups of inference must keep its bits; recorded like
+        # test_checkpoint_bytes_pinned's digest, with the same caveat
+        net = model.build_model(model.ModelConfig(seed=7))
+        patches = np.random.default_rng(37).random((37, 32, 32, 4), dtype=np.float32)
+        _, probs = model.predict_batch(net, patches)
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == \
+            "e222f75c4cd816694ff8796a737add6be9b009815b27dcb77222fde6484850b7"
+
+    def test_finds_no_winner_indices(self, monkeypatch):
+        net = model.build_model(model.ModelConfig(seed=8))
+        patches = np.random.default_rng(38).random((20, 32, 32, 4), dtype=np.float32)
+        want_ids, want_probs = model.predict_batch(net, patches)
+
+        def no_winners(*args):
+            raise AssertionError("inference asked for pooling winner indices")
+
+        monkeypatch.setattr(nn, "maxpool2x2_forward", no_winners)
+        ids, probs = model.predict_batch(net, patches)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+
     def test_constructed_dominant_class(self):
         net = model.build_model(TINY)
         for layer in net.conv_layers:
@@ -453,7 +515,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old, new, match", [
         (b"channels=Gr", b"channels=" + b"x" * (1 << 20), "^unknown channel 'xxx"),
         (b"filters=2,2,2", b"filters=2" + b",2" * 200_000, "^need three filter counts, got 200001$"),
-    ], ids=["channel", "filters"])
+        (b"patch_size=8", b"patch_size=" + b"9" * 4000,
+         "multiple of 8 .*, got '9{60}' and 3940 more characters$"),
+        (b"filters=2,2,2", b"filters=2,2," + b"9" * 4000,
+         "truncated weights .*config needs '\\d{60}' and \\d+ more characters bytes"),
+        (b"patch_size=8", b"patch_size=8" + b"0" * 3999,
+         "truncated weights .*config needs 2\\*\\*\\d+ or more bytes"),
+    ], ids=["channel", "filters", "patch_size_digits", "filter_digits", "patch_size_bits"])
     def test_long_config_value_reported_short(self, tmp_path, old, new, match):
         path = tmp_path / "model.mmrc"
         model.save_checkpoint(model.build_model(TINY), path)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mmreg import nn
-from helpers import central_diff_grad, max_rel_error
+from helpers import (central_diff_grad, conv2d_forward_oracle, max_rel_error,
+                     maxpool2x2_oracle)
 
 
 def make_conv(seed, k_count, k, c_in, padding=0, dtype=np.float32):
@@ -76,6 +77,24 @@ class TestConvForward:
         batched = nn.conv2d_forward(xb, params)
         for i in range(3):
             np.testing.assert_array_equal(batched[i], nn.conv2d_forward(xb[i][None], params)[0])
+
+
+class TestConvForwardOracle:
+    @pytest.mark.parametrize("batch", [1, 3, 50])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_one_gemm_per_patch(self, batch, k, dtype):
+        rng = np.random.default_rng(batch * 10 + k)
+        x = rng.standard_normal((batch, 16, 12, 6)).astype(dtype)
+        params = make_conv(k, 8, k, 6, padding=(k - 1) // 2, dtype=dtype)
+        want = conv2d_forward_oracle(x, params)
+        cols = np.empty((batch, 16 * 12, k * k * 6), dtype=dtype)
+        out = np.empty(want.shape, dtype=dtype)
+        got = nn.conv2d_forward(x, params, cols=cols, out=out)
+        assert np.shares_memory(got, out)
+        for y in (nn.conv2d_forward(x, params), got):
+            assert y.dtype == want.dtype and y.shape == want.shape
+            assert y.tobytes() == want.tobytes()
 
 
 class TestConvBackward:
@@ -185,6 +204,14 @@ def pool_case(kind, dtype, rng):
         return np.zeros(shape, dtype=dtype)
     if kind == "constant":
         return np.repeat(rng.random((3, 6, 8, 1)), 5, axis=3).astype(dtype)
+    if kind == "signed_zero_ties":
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(dtype)
+    if kind == "all_negative":
+        return -rng.random(shape).astype(dtype) - 0.5
+    if kind == "nan_windows":  # NaN beside values and signed zeros
+        x = np.where(rng.random(shape) < 0.3, -0.0, rng.standard_normal(shape)).astype(dtype)
+        x[rng.random(shape) < 0.15] = np.nan
+        return x
     # mixed signed zeros, with some windows also holding a positive value
     x = np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(dtype)
     x[rng.random(shape) < 0.1] = 0.25
@@ -254,6 +281,21 @@ class TestMaxPool:
             return float(np.sum(pooled[0] * upstream))
 
         assert max_rel_error(dx[0], central_diff_grad(loss, x)) < 1e-6
+
+
+class TestMaxPoolOracle:
+    @pytest.mark.parametrize("kind", ["signed_zero_ties", "all_negative", "nan_windows",
+                                      "random", "relu", "signed_zeros"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooled_and_winners_same_bytes_as_forward(self, kind, dtype):
+        rng = np.random.default_rng(41)
+        x = pool_case(kind, dtype, rng)
+        want_pooled, want_idx = maxpool2x2_oracle(x)
+        pooled, idx = nn.maxpool2x2_forward(x)
+        only = nn.maxpool2x2(x)
+        assert only.tobytes() == pooled.tobytes() == want_pooled.tobytes()
+        assert idx.dtype == want_idx.dtype and idx.tobytes() == want_idx.tobytes()
+        assert only.dtype == x.dtype and only.shape == want_pooled.shape
 
 
 class TestRelu:

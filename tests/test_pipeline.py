@@ -1,5 +1,8 @@
+import os
 import re
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -672,6 +675,37 @@ class TestManifestRoundTrip:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {size} bytes, over "
                                               f"the {size - 1}-byte cap on key=value files$"):
             read_manifest(path)
+
+    def test_read_allocates_about_the_file_size(self, tmp_path):
+        path = tmp_path / "conf.txt"
+        path.write_text("a=1\nb=2\n")
+        tracemalloc.start()
+        try:
+            assert pipeline.read_key_values(path) == {"a": "1", "b": "2"}
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("size", [4, 100, 101, 300])
+    def test_pipe_read_stops_past_the_cap(self, tmp_path, monkeypatch, size):
+        # a pipe reports size 0; texts smaller than a pipe buffer never block
+        # the writer, whatever the reader leaves unread
+        monkeypatch.setattr(pipeline, "KEY_VALUE_MAX_BYTES", 100)
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        text = "a=" + "x" * (size - 3) + "\n"
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            if size <= 100:
+                assert pipeline.read_key_values(path) == {"a": text[2:-1]}
+            else:
+                with pytest.raises(FormatError, match=": 101 bytes, over the 100-byte cap"):
+                    pipeline.read_key_values(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_non_utf8_byte_rejected_with_offset(self, tmp_path):
         path = tmp_path / "manifest.txt"
