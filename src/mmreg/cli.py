@@ -113,8 +113,9 @@ def _resolve_frames_dir(manifest_path: Path, manifest, override: str | None) -> 
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    config = synth.SceneConfig(
+def _scene_config(args) -> synth.SceneConfig:
+    """The scene that synth's flags describe, not yet validated."""
+    return synth.SceneConfig(
         seed=args.seed,
         frame_count=args.frames,
         width=args.width,
@@ -126,7 +127,12 @@ def cmd_synth(args) -> int:
         jitter=args.jitter,
         noise_amplitude=args.noise,
     )
-    frames = synth.generate_sequence(config)
+
+
+def cmd_synth(args) -> int:
+    # generate_sequence validates the scene, size ceilings included, before
+    # it allocates anything
+    frames = synth.generate_sequence(_scene_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):

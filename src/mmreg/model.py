@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .pipeline import (CHANNEL_IDS, KEY_VALUE_MAX_BYTES, FormatError, blas_workers, decode_text,
-                       parse_key_values, quoted)
+                       parse_key_values, quoted, quoted_int)
 
 CHECKPOINT_MAGIC = b"MMRC"
 CHECKPOINT_VERSION = 1
@@ -37,15 +37,6 @@ MAX_WEIGHT_BYTES = 1 << 30
 MAX_BATCH_WORK_BYTES = 1 << 31
 
 
-def _number(n: int) -> str:
-    """n for an error message, cut by quoted: a config value can have
-    thousands of digits, and a product of them more than str() converts."""
-    if n.bit_length() > 14_000:  # about 4,200 digits; str() refuses past 4,300
-        return f"2**{n.bit_length() - 1} or more"
-    text = str(n)
-    return text if len(text) <= 60 else quoted(text)
-
-
 @dataclass
 class ModelConfig:
     patch_size: int = 32
@@ -58,14 +49,14 @@ class ModelConfig:
     def validate(self) -> None:
         if self.patch_size <= 0 or self.patch_size % 8 != 0:
             raise ValueError(f"patch size must be a positive multiple of 8 "
-                             f"(three pooling halvings), got {_number(self.patch_size)}")
+                             f"(three pooling halvings), got {quoted_int(self.patch_size)}")
         if len(self.filters) != 3:
             raise ValueError(f"need three filter counts, got {len(self.filters)}")
         for f in self.filters:
             if f < 1:
-                raise ValueError(f"need three positive filter counts, got {_number(f)}")
+                raise ValueError(f"need three positive filter counts, got {quoted_int(f)}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel size must be odd, got {_number(self.kernel_size)}")
+            raise ValueError(f"kernel size must be odd, got {quoted_int(self.kernel_size)}")
         if not self.channels:
             raise ValueError("channel list is empty")
         for name in self.channels:
@@ -75,7 +66,7 @@ class ModelConfig:
         if len(set(self.channels)) != len(self.channels):
             raise ValueError(f"duplicate channels in {self.channels}")
         if self.n_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {_number(self.n_classes)}")
+            raise ValueError(f"need at least 2 classes, got {quoted_int(self.n_classes)}")
 
     @property
     def dense_inputs(self) -> int:
@@ -152,7 +143,7 @@ def require_sizes(config: ModelConfig, batch: int = 0, itemsize: int = 4) -> Non
     config.validate()
     weight_bytes = 4 * config.weight_count
     if weight_bytes > MAX_WEIGHT_BYTES:
-        raise ValueError(f"the network's weights take {_number(weight_bytes)} bytes, "
+        raise ValueError(f"the network's weights take {quoted_int(weight_bytes)} bytes, "
                          f"over the {MAX_WEIGHT_BYTES}-byte cap")
     sample_shape = (config.patch_size, config.patch_size, len(config.channels))
     work_bytes = itemsize * sum(math.prod(shape) for stage in
@@ -192,9 +183,11 @@ class _BatchWork:
     """Whole-batch buffers of the loss-and-gradient pass for up to capacity
     (h, w, c) samples of one dtype, and the pool its patch blocks run on.
 
-    Per conv stage it holds the im2col rows, the conv output (which the
-    backward pass overwrites with the gradient at the conv output) and
-    the pooled output. Blocks write their rows of these in place.
+    Per conv stage it holds the im2col rows, the conv output and the
+    pooled output. The forward applies relu over the conv output in
+    place, and the backward overwrites it with the gradient at the conv
+    output, so one buffer serves the conv output, its relu and its
+    gradient. Blocks write their rows of these in place.
     """
 
     def __init__(self, net: Network, sample_shape, capacity: int, dtype,
@@ -240,8 +233,10 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
     The conv stages run on contiguous blocks of the batch, work.blocks of
     them (one when work is None, with buffers for this batch): per block,
     conv, relu and pool forward, then pool and relu backward and the
-    input-gradient taps. Each row of those results has the same bits
-    whatever block its sample is in. The dense layer, the loss and every
+    input-gradient taps. Relu and the fused pool/relu backward run in
+    place in work.z, the conv-output buffers: at the default net's batch
+    of 100, a call's own arrays peak near 15 MB. Each row of those
+    results has the same bits whatever block its sample is in. The dense layer, the loss and every
     kernel and bias gradient are single whole-batch calls, so the result
     does not depend on the block count. The three kernel-and-bias calls
     are spread over work's threads, the heaviest on this one; only the
@@ -259,7 +254,7 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
         winners = []
         for layer, a, cols, z, pooled in zip(layers, inputs, work.cols, work.z, work.pooled):
             conv = nn.conv2d_forward(a[lo:hi], layer, cols=cols[lo:hi], out=z[lo:hi])
-            pooled[lo:hi], idx = nn.maxpool2x2_forward(nn.relu(conv))
+            pooled[lo:hi], idx = nn.maxpool2x2_forward(nn.relu_inplace(conv))
             winners.append(idx)
         return winners
 
@@ -275,9 +270,7 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
         (lo, hi), idx = block
         d = d_top[lo:hi]
         for i in reversed(range(len(layers))):
-            d = nn.maxpool2x2_backward(idx[i], d)
-            u = work.z[i][lo:hi]
-            u[...] = nn.relu_backward(u, d)
+            u = nn.maxpool2x2_relu_backward(idx[i], d, work.z[i][lo:hi])
             if i == 0 and not input_grad:
                 return
             d, _ = nn.conv2d_backward(inputs[i][lo:hi], layers[i], u, param_grads=False)
@@ -463,7 +456,7 @@ def load_checkpoint(path) -> Network:
         weight_bytes = 4 * config.weight_count
         if size - offset < weight_bytes:
             raise FormatError(f"{path}: truncated weights at byte offset {offset} "
-                              f"(config needs {_number(weight_bytes)} bytes, "
+                              f"(config needs {quoted_int(weight_bytes)} bytes, "
                               f"have {size - offset})")
         end = offset + weight_bytes
         if size != end:

@@ -3,14 +3,18 @@
 Conv and pool ops take (B,H,W,C) batches; pass x[None] for one image.
 float32 is the working precision; pass float64 arrays when running
 gradient checks. Every function is bit-deterministic for identical
-inputs. Each is pure, with two kinds of exception: sgd_step updates its
-arrays in place, and conv2d_forward and _im2col write into the cols= and
-out= buffers a caller passes them.
+inputs. Each is pure, with three kinds of exception: sgd_step updates
+its arrays in place; conv2d_forward and _im2col write into the cols= and
+out= buffers a caller passes them; and relu_inplace and
+maxpool2x2_relu_backward write over the conv output they are given, so
+that the training pass keeps no second copy of it.
 
 conv2d_forward is one GEMM of every patch's im2col rows, whatever the
 batch size: each output row has the same bits in any batch. maxpool2x2
 pools without the winner indices that maxpool2x2_forward adds for the
-backward pass, so inference does not compute them.
+backward pass, so inference does not compute them. Training runs the
+pool and relu backward as one op, maxpool2x2_relu_backward; the pair
+maxpool2x2_backward and relu_backward is its byte-for-byte oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 Array = np.ndarray
+# normals per he_init draw: 512 KiB of float64
+HE_INIT_CHUNK = 1 << 16
 
 
 def _require(condition: bool, message: str) -> None:
@@ -91,7 +97,14 @@ def he_init(shape, seed: int, dtype=np.float32) -> Array:
     fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
     rng = np.random.default_rng(seed)
     std = np.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(dtype)
+    # float64 normals drawn and cast a chunk at a time, so that they never
+    # take more than a chunk; draws in pieces continue one stream
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, HE_INIT_CHUNK):
+        stop = min(start + HE_INIT_CHUNK, flat.size)
+        flat[start:stop] = rng.standard_normal(stop - start) * std
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +314,44 @@ def maxpool2x2_backward(indices: Array, upstream: Array) -> Array:
                      .reshape(b, h * 2, w * 2, c))
 
 
+def maxpool2x2_relu_backward(indices: Array, upstream: Array, z: Array) -> Array:
+    """relu_backward(z, maxpool2x2_backward(indices, upstream)), byte for
+    byte, written over z (the pre- or post-relu conv output) and returned.
+
+    Per window position q, z_q becomes upstream * (z_q > 0), the product
+    relu_backward forms; then its bits are kept where indices == q and
+    cleared (+0.0) elsewhere, as the pair's zero fill leaves them.
+    """
+    _require_batch(upstream)
+    _require(indices.shape == upstream.shape,
+             f"indices shape {indices.shape} does not match upstream shape {upstream.shape}")
+    b, h, w, c = upstream.shape
+    _require(z.shape == (b, 2 * h, 2 * w, c),
+             f"input shape {z.shape} does not pool to upstream shape {upstream.shape}")
+    mask = np.empty(upstream.shape, dtype=bool)
+    for q, z_q in enumerate(_windows(z)):
+        np.multiply(upstream, np.greater(z_q, 0, out=mask), out=z_q)
+        bits = z_q.view(f"u{z.itemsize}")
+        np.multiply(bits, np.equal(indices, q, out=mask), out=bits)  # 0 or the bits as they are
+    return z
+
+
 # ---------------------------------------------------------------------------
 # Activations and loss
 # ---------------------------------------------------------------------------
 
 
+def _relu(x: Array, out: Array | None = None) -> Array:
+    return np.maximum(x, 0, out=out)
+
+
 def relu(x: Array) -> Array:
-    return np.maximum(x, 0)
+    return _relu(x)
+
+
+def relu_inplace(x: Array) -> Array:
+    """relu(x) written over x and returned: the training forward's relu."""
+    return _relu(x, out=x)
 
 
 def relu_backward(x: Array, upstream: Array) -> Array:

@@ -45,20 +45,19 @@ def generate_offsets(n_classes: int, major_axis: float, minor_axis: float,
     phi = math.radians(rotation_deg)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
 
+    # each class is checked against the earlier ones as it is made, so a
+    # count the ellipse cannot hold fails at its first collision
     offsets = [OffsetClass(id=0, dx=0, dy=0)]
+    seen = {(0, 0): 0}
     for i in range(1, n_classes):
         theta = math.radians((i - 1) * 360.0 / (n_classes - 1))
         x = a * math.cos(theta)
         y = b * math.sin(theta)
-        dx = _round_half_away(x * cos_phi + y * sin_phi)
-        dy = _round_half_away(-x * sin_phi + y * cos_phi)
-        offsets.append(OffsetClass(id=i, dx=dx, dy=dy))
-
-    seen: dict[tuple[int, int], int] = {}
-    for off in offsets:
-        key = (off.dx, off.dy)
+        key = (_round_half_away(x * cos_phi + y * sin_phi),
+               _round_half_away(-x * sin_phi + y * cos_phi))
         if key in seen:
             raise ValueError(
-                f"degenerate axes: classes {seen[key]} and {off.id} both round to {key}")
-        seen[key] = off.id
+                f"degenerate axes: classes {seen[key]} and {i} both round to {key}")
+        seen[key] = i
+        offsets.append(OffsetClass(id=i, dx=key[0], dy=key[1]))
     return offsets

@@ -560,6 +560,15 @@ def quoted(value: str) -> str:
     return f"{value[:60]!r} and {len(value) - 60} more characters"
 
 
+def quoted_int(n: int) -> str:
+    """n for an error message, cut by quoted: a config value can have
+    thousands of digits, and a product of them more than str() converts."""
+    if n.bit_length() > 14_000:  # about 4,200 digits; str() refuses past 4,300
+        return f"2**{n.bit_length() - 1} or more"
+    text = str(n)
+    return text if len(text) <= 60 else quoted(text)
+
+
 def parse_key_values(text: str, source: str = "<manifest>") -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import DEFAULT_HEIGHT, DEFAULT_WIDTH, Frame, quoted
+from .pipeline import DEFAULT_HEIGHT, DEFAULT_WIDTH, Frame, quoted, quoted_int
 
 OBJECT_KINDS = ("rectangle", "ellipse")
+# ceilings, checked before anything is allocated, on a sequence's float32
+# planes (frames x width x height x 4 planes x 4 B, the frame list
+# generate_sequence returns) and on its per-object work (frames x objects,
+# the jitter array and the draw loop); the README's 80 frames of 800x256
+# with 40 objects take 262 MB and 3,200
+MAX_SEQUENCE_BYTES = 1 << 32
+MAX_OBJECT_FRAMES = 1 << 20
 
 
 @dataclass
@@ -41,6 +48,17 @@ class SceneConfig:
             raise ValueError(f"frame dims too small: {self.width}x{self.height}")
         if self.object_count < 1:
             raise ValueError(f"need at least one object, got {self.object_count}")
+        plane_bytes = self.frame_count * self.width * self.height * 4 * 4  # R, G, B, L
+        if plane_bytes > MAX_SEQUENCE_BYTES:
+            raise ValueError(f"{quoted_int(self.frame_count)} frames of {quoted_int(self.width)}x"
+                             f"{quoted_int(self.height)} take {quoted_int(plane_bytes)} bytes, "
+                             f"over the {MAX_SEQUENCE_BYTES}-byte cap on a sequence")
+        object_frames = self.frame_count * self.object_count
+        if object_frames > MAX_OBJECT_FRAMES:
+            raise ValueError(f"{quoted_int(self.object_count)} objects in "
+                             f"{quoted_int(self.frame_count)} frames make "
+                             f"{quoted_int(object_frames)} object draws, over the cap of "
+                             f"{MAX_OBJECT_FRAMES}")
         if not self.object_kinds:
             raise ValueError("object_kinds is empty")
         for kind in self.object_kinds:

@@ -1,6 +1,10 @@
 """Shared test oracles: central finite differences and error measures,
-networks cast to another precision, and the forward pass as first
-written."""
+networks cast to another precision, the forward pass as first written,
+and the traced memory peak of a block."""
+
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,6 +43,20 @@ def max_rel_error(analytic, numeric):
     floor = max(1e-8, 1e-4 * scale)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+@contextmanager
+def traced_peak():
+    """Trace allocations in the with-block; once it ends, the yielded
+    object's .peak holds the traced peak in bytes. Put pytest.raises
+    inside this block, so that an expected error still leaves a peak."""
+    traced = SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield traced
+        traced.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cast_network(net, dtype):

@@ -6,7 +6,6 @@ import struct
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ import mmreg
 from mmreg import cli, model, nn, pipeline, synth
 from mmreg.cli import main, parse_channels
 from mmreg.pipeline import Frame, read_frame, read_manifest, write_frame
+from helpers import traced_peak
 
 
 def run(*args):
@@ -604,9 +604,51 @@ SIZE_CASES = {
 }
 
 
+# synth sizes over its ceilings, and the error each gives
+SYNTH_SIZE_CASES = {
+    "frame-size": ({"width": 100000, "height": 100000},
+                   f"10 frames of 100000x100000 take 1600000000000 bytes, over the "
+                   f"{synth.MAX_SEQUENCE_BYTES}-byte cap on a sequence"),
+    "frames": ({"frames": 100000000},
+               f"100000000 frames of 800x256 take 327680000000000 bytes, over the "
+               f"{synth.MAX_SEQUENCE_BYTES}-byte cap on a sequence"),
+    "objects": ({"objects": 100000000},
+                f"100000000 objects in 10 frames make 1000000000 object draws, over the cap "
+                f"of {synth.MAX_OBJECT_FRAMES}"),
+}
+
+
 class TestSizeCeilings:
-    """Model flags that would size huge weights or training buffers are
-    refused before anything large is allocated: one error line, no output."""
+    """Size flags that would make huge weights, training buffers, frame
+    sequences or offset tables are refused before anything large is
+    allocated: one error line, no output."""
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("case", list(SYNTH_SIZE_CASES))
+    def test_synth_refused_before_allocating(self, tmp_path, capsys, case, source):
+        sizes, message = SYNTH_SIZE_CASES[case]
+        config = tmp_path / "conf.txt"
+        config.write_text("".join(f"{key}={value}\n" for key, value in sizes.items()))
+        flags = (["--config", config] if source == "config" else
+                 [arg for key, value in sizes.items() for arg in (f"--{key}", value)])
+        with traced_peak() as traced:
+            code = run("synth", *flags, "--out", tmp_path / "out")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        assert traced.peak < 8 << 20
+
+    def test_class_count_fails_at_first_collision(self, small_corpus, tmp_path, capsys):
+        # 10**8 classes on the default ellipse: the second already rounds
+        # onto the first
+        with traced_peak() as traced:
+            code = run("dataset", "--in-dir", small_corpus / "flowed", "--out", tmp_path / "out",
+                       "--classes", 100000000)
+        assert code == 1
+        assert capsys.readouterr().err == ("error: degenerate axes: classes 1 and 2 both round "
+                                           "to (11, -11)\n")
+        assert not (tmp_path / "out").exists()
+        assert traced.peak < 8 << 20
 
     @pytest.mark.parametrize("case", list(SIZE_CASES))
     def test_refused_before_allocating(self, small_corpus, tmp_path, capsys, case):
@@ -616,19 +658,15 @@ class TestSizeCeilings:
                    "--p", 32, "--s", 16, "--tau", 0, "--classes", 5,
                    "--major", 8, "--minor", 4) == 0
         capsys.readouterr()
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             code = run("train", "--dataset", ds / "manifest.txt", "--epochs", 1, *flags,
                        "--out", tmp_path / "out")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert re.search(match, err), err
         assert not (tmp_path / "out").exists()
-        assert peak < 8 << 20
+        assert traced.peak < 8 << 20
 
 
 class TestMemoryBackstop:
@@ -642,8 +680,10 @@ class TestMemoryBackstop:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
         result = subprocess.run(
+            # under synth's 4 GiB cap on a sequence's planes, but its float64
+            # background texture alone takes 2 GB
             [sys.executable, "-m", "mmreg.cli", "synth", "--out", tmp_path / "o",
-             "--width", "100000", "--height", "100000", "--frames", "1"],
+             "--width", "16000", "--height", "16000", "--frames", "1"],
             env=env, capture_output=True, text=True, timeout=120,
             preexec_fn=cap_address_space)
         assert result.returncode == 1

@@ -54,6 +54,10 @@ UNREFERENCED_OK = {
     "write_manifest": "writes manifest_text to a file for tests; mmreg dataset renders "
                       "manifest_text before it makes --out",
     "conv2d_forward_reference": "the naive-loop oracle the im2col convolution is tested against",
+    "maxpool2x2_backward": "with relu_backward, the oracle pair the fused training backward "
+                           "maxpool2x2_relu_backward is tested against",
+    "relu_backward": "with maxpool2x2_backward, the oracle pair of the fused training backward; "
+                     "acceptance criterion 1 checks it against central differences",
 }
 
 

@@ -3,7 +3,6 @@ import os
 import re
 import struct
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,7 +10,8 @@ import pytest
 
 from mmreg import model, nn, pipeline
 from mmreg.pipeline import FormatError
-from helpers import cast_network, central_diff_grad, max_rel_error, predict_batch_oracle
+from helpers import (cast_network, central_diff_grad, max_rel_error, predict_batch_oracle,
+                     traced_peak)
 
 TINY = model.ModelConfig(patch_size=8, channels=("Gr", "L"), filters=(2, 2, 2),
                          kernel_size=3, n_classes=3, seed=11)
@@ -72,15 +72,18 @@ class TestBuildModel:
                              ids=["filters", "kernel"])
     def test_weight_cap_refused_before_allocating(self, changes):
         config = model.ModelConfig(**changes)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"weights take \d+ bytes, over the "
-                               f"{model.MAX_WEIGHT_BYTES}-byte cap"):
-                model.build_model(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with traced_peak() as traced, \
+                pytest.raises(ValueError, match=r"weights take \d+ bytes, over the "
+                              f"{model.MAX_WEIGHT_BYTES}-byte cap"):
+            model.build_model(config)
+        assert traced.peak < 1 << 20
+
+    def test_build_peaks_near_the_weights(self):
+        # kernel 31: 12.3 MB of float32 weights, drawn as float64 normals
+        config = model.ModelConfig(kernel_size=31)
+        with traced_peak() as traced:
+            model.build_model(config)
+        assert traced.peak < 1.3 * 4 * config.weight_count
 
     def test_biases_start_at_zero(self):
         net = model.build_model(TINY)
@@ -149,15 +152,11 @@ class TestTrain:
         net = model.build_model(model.ModelConfig(kernel_size=31))
         x = np.zeros((100, 32, 32, 4), dtype=np.float32)
         y = np.zeros(100, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"batches of 100 take 55\d{8} bytes, over the "
-                               f"{model.MAX_BATCH_WORK_BYTES}-byte cap"):
-                model.train(net, x, y, model.TrainConfig(batch_size=100, epochs=1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with traced_peak() as traced, \
+                pytest.raises(ValueError, match=r"batches of 100 take 55\d{8} bytes, over the "
+                              f"{model.MAX_BATCH_WORK_BYTES}-byte cap"):
+            model.train(net, x, y, model.TrainConfig(batch_size=100, epochs=1))
+        assert traced.peak < 1 << 20
 
     def test_batched_loss_matches_single_sample_op(self):
         rng = np.random.default_rng(8)
@@ -269,6 +268,23 @@ class TestBlockedBatch:
                     got = model._batch_loss_and_grads(net, x, y, input_grad, work=work)
                     assert loss_and_grad_bytes(got) == want, (n, blocks)
 
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_temporaries_bounded(self, blocks, input_grad):
+        # default net at batch 100: relu and the pool/relu backward run in
+        # the conv-output buffers, so a call's own arrays stay under 20 MB;
+        # a stage-0 relu output or routed gradient of its own adds 13 MB
+        net = model.build_model(model.ModelConfig(seed=5))
+        rng = np.random.default_rng(18)
+        x = rng.random((100, 32, 32, 4), dtype=np.float32)
+        y = rng.integers(0, 9, size=100)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            work = model._BatchWork(net, x.shape[1:], 100, x.dtype, blocks,
+                                    pool if blocks > 1 else None)
+            with traced_peak() as traced:
+                model._batch_loss_and_grads(net, x, y, input_grad, work=work)
+        assert traced.peak < 20_000_000, traced.peak
+
 
 class TestTrainBlocks:
     @pytest.mark.parametrize("env,blocks", [
@@ -350,8 +366,8 @@ class TestBlockedTrainErrors:
     @pytest.mark.parametrize("failing", ["calling thread", "pool thread"])
     def test_block_error_propagates(self, monkeypatch, failing):
         x, y = separable_dataset(np.random.default_rng(13), per_class=10)
-        # a block's relu backward, then a whole-batch kernel-gradient call
-        for name, fails in [("relu_backward", lambda kwargs: True),
+        # a block's pool/relu backward, then a whole-batch kernel-gradient call
+        for name, fails in [("maxpool2x2_relu_backward", lambda kwargs: True),
                             ("conv2d_backward", lambda kwargs: kwargs.get("input_grad") is False)]:
             real = getattr(nn, name)
             callers = set()
@@ -503,14 +519,9 @@ class TestCheckpoint:
         (config_len,) = struct.unpack_from("<I", data, 8)
         text = data[12:12 + config_len].replace(b"filters=2,2,2", b"filters=2,100000000,100000000")
         path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + config_len:])
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match="truncated weights"):
-                model.load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        with traced_peak() as traced, pytest.raises(FormatError, match="truncated weights"):
+            model.load_checkpoint(path)
+        assert traced.peak < 1 << 20
 
     @pytest.mark.parametrize("old, new, match", [
         (b"channels=Gr", b"channels=" + b"x" * (1 << 20), "^unknown channel 'xxx"),

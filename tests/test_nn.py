@@ -170,14 +170,17 @@ class TestConvBackward:
 
 class TestBatchOnly:
     @pytest.mark.parametrize("op", ["conv2d_forward", "conv2d_backward",
-                                    "maxpool2x2_forward", "maxpool2x2_backward"])
+                                    "maxpool2x2_forward", "maxpool2x2_backward",
+                                    "maxpool2x2_relu_backward"])
     def test_rank3_input_rejected_naming_shape(self, op):
         x = np.zeros((4, 4, 2))
         params = make_conv(50, 3, 3, 2, padding=1)
+        idx = np.zeros((4, 4, 2), dtype=np.uint8)
         args = {"conv2d_forward": (x, params),
                 "conv2d_backward": (x, params, np.zeros((4, 4, 3))),
                 "maxpool2x2_forward": (x,),
-                "maxpool2x2_backward": (np.zeros((4, 4, 2), dtype=np.uint8), x)}[op]
+                "maxpool2x2_backward": (idx, x),
+                "maxpool2x2_relu_backward": (idx, x, np.zeros((8, 8, 2)))}[op]
         with pytest.raises(ValueError, match=re.escape("got shape (4, 4, 2)")):
             getattr(nn, op)(*args)
 
@@ -298,6 +301,64 @@ class TestMaxPoolOracle:
         assert only.dtype == x.dtype and only.shape == want_pooled.shape
 
 
+def with_specials(x, rng, values):
+    """x with about a tenth of its elements set to each of values."""
+    x = x.copy()
+    for value in values:
+        x[rng.random(x.shape) < 0.1] = value
+    return x
+
+
+def fused_case(z, rng):
+    """(winner indices, upstream) for pooling relu(z), upstream holding
+    signed zeros, NaN and infinities."""
+    _, idx = nn.maxpool2x2_forward(nn.relu(z))
+    upstream = rng.standard_normal(idx.shape).astype(z.dtype)
+    return idx, with_specials(upstream, rng, [-0.0, 0.0, np.nan, np.inf, -np.inf])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 under test
+class TestMaxPoolReluBackward:
+    """The fused training backward is the oracle pair, byte for byte, on the
+    conv output before or after relu, and writes over that input."""
+
+    @pytest.mark.parametrize("shape", [(3, 32, 32, 32), (3, 16, 16, 32), (3, 8, 8, 64)],
+                             ids=["stage0", "stage1", "stage2"])  # the default net's conv outputs
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_pair_at_stage_shapes(self, shape, dtype):
+        rng = np.random.default_rng(60)
+        z = with_specials(rng.standard_normal(shape).astype(dtype), rng, [-0.0, np.nan])
+        idx, upstream = fused_case(z, rng)  # about a third of the windows hold NaN
+        want = nn.relu_backward(z, nn.maxpool2x2_backward(idx, upstream)).tobytes()
+        for conv_out in (z.copy(), nn.relu(z)):
+            got = nn.maxpool2x2_relu_backward(idx, upstream, conv_out)
+            assert got is conv_out and got.tobytes() == want
+
+    @pytest.mark.parametrize("kind", ["signed_zero_ties", "all_negative", "nan_windows",
+                                      "random", "signed_zeros"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_pair_on_pool_cases(self, kind, dtype):
+        rng = np.random.default_rng(61)
+        z = pool_case(kind, dtype, rng)
+        idx, upstream = fused_case(z, rng)
+        want = nn.relu_backward(z, nn.maxpool2x2_backward(idx, upstream))
+        assert nn.maxpool2x2_relu_backward(idx, upstream, z).tobytes() == want.tobytes()
+
+    def test_window_example(self):
+        # a window with its max at position 3, and a NaN window (index 3)
+        z = np.array([[1.0, -2.0], [-0.0, 4.0], [3.0, 0.0], [5.0, np.nan]]).reshape(1, 4, 2, 1)
+        _, idx = nn.maxpool2x2_forward(nn.relu(z))
+        dz = nn.maxpool2x2_relu_backward(idx, np.array([7.0, -1.0]).reshape(1, 2, 1, 1), z)
+        assert dz.ravel().tolist() == [0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, -0.0]
+        assert np.signbit(dz.ravel()).tolist() == [False] * 7 + [True]
+
+    def test_shape_mismatch_rejected(self):
+        idx = np.zeros((1, 2, 2, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match=re.escape("input shape (1, 4, 6, 3) does not pool "
+                                                       "to upstream shape (1, 2, 2, 3)")):
+            nn.maxpool2x2_relu_backward(idx, np.zeros((1, 2, 2, 3)), np.zeros((1, 4, 6, 3)))
+
+
 class TestRelu:
     def test_examples(self):
         np.testing.assert_array_equal(nn.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
@@ -310,6 +371,14 @@ class TestRelu:
     def test_abs_identity(self):
         x = np.random.default_rng(4).standard_normal(100)
         np.testing.assert_allclose(nn.relu(x) + nn.relu(-x), np.abs(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_same_bytes(self, dtype):
+        rng = np.random.default_rng(5)
+        x = with_specials(rng.standard_normal((3, 8, 8, 4)).astype(dtype), rng,
+                          [-0.0, 0.0, np.nan, np.inf, -np.inf])
+        want = nn.relu(x).tobytes()
+        assert nn.relu_inplace(x) is x and x.tobytes() == want
 
 
 class TestDenseSoftmaxXent:

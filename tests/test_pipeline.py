@@ -2,7 +2,6 @@ import os
 import re
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from mmreg.pipeline import (DatasetManifest, FormatError, Frame, PatchSample,
                             iter_patch_samples, patch_grid, read_frame, read_manifest,
                             rgb_to_gray, shift_plane, write_frame, write_manifest)
 from mmreg.synth import SceneConfig, generate_sequence
+from helpers import traced_peak
 
 
 def random_frame(rng, height=16, width=20, names=("R", "G", "B", "L")):
@@ -679,13 +679,9 @@ class TestManifestRoundTrip:
     def test_read_allocates_about_the_file_size(self, tmp_path):
         path = tmp_path / "conf.txt"
         path.write_text("a=1\nb=2\n")
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             assert pipeline.read_key_values(path) == {"a": "1", "b": "2"}
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
 
     @pytest.mark.parametrize("size", [4, 100, 101, 300])
     def test_pipe_read_stops_past_the_cap(self, tmp_path, monkeypatch, size):

@@ -9,8 +9,8 @@ instead of rejecting it. The binary readers also refuse a file whose size
 differs from the one its header implies before they read its body.
 """
 
+import argparse
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from mmreg import cli, model
 from mmreg.offsets import generate_offsets
 from mmreg.pipeline import (KEY_VALUE_MAX_BYTES, DatasetManifest, FormatError, Frame, read_frame,
                             read_key_values, read_manifest, write_frame, write_manifest)
+from helpers import traced_peak
 
 _, SUBCOMMANDS = cli.build_parser()
 
@@ -87,21 +88,39 @@ def valid(tmp_path_factory):
     return root
 
 
+SYNTH_KEYS = list(SUBCOMMANDS["synth"].types)
+# synth sizes over its ceilings (ops on synth.conf; on another file they
+# forge whatever values sit at those places)
+SYNTH_SIZES = [{"width": b"100000", "height": b"100000"}, {"frames": b"100000000"},
+               {"objects": b"100000000"}]
+
+
 def every_value_forged(test):
     """Explicit examples: each of the first 24 values set to each number,
     so every count field meets a forged value whatever the random draw, and
-    to LONG_VALUE, so every message that quotes a value meets a long one."""
+    to LONG_VALUE, so every message that quotes a value meets a long one;
+    then synth's size cases."""
     for index in range(24):
         for number in NUMBERS + (LONG_VALUE,):
             test = example(ops=[("value", index, number)])(test)
+    for sizes in SYNTH_SIZES:
+        test = example(ops=[("value", SYNTH_KEYS.index(key), value)
+                            for key, value in sizes.items()])(test)
     return test
 
 
 def config_reader(command):
-    """What main does with a --config file for command, short of running it."""
+    """What main does with a --config file for command, short of running it;
+    for synth, also the scene checks that run before anything is allocated."""
+    sub = SUBCOMMANDS[command]
+
     def read(path):
         pairs = read_key_values(path)
-        return cli._typed_config_defaults(SUBCOMMANDS[command], pairs, str(path))
+        typed = cli._typed_config_defaults(sub, pairs, str(path))
+        if command == "synth":
+            args = {key: sub.parser.get_default(key) for key in sub.types}
+            cli._scene_config(argparse.Namespace(**{**args, **typed})).validate()
+        return typed
     return read
 
 
@@ -132,27 +151,11 @@ def test_appended_zeros_rejected_before_the_body_is_read(valid, tmp_path, name):
     path.write_bytes((valid / name).read_bytes())
     size = path.stat().st_size
     os.truncate(path, size + (64 << 20))  # sparse: the zeros take no disk
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError, match=f": {64 << 20} trailing bytes at byte offset "
-                                              f"{size}$"):
-            READERS[name](path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 20, peak
-
-
-def traced_peak(read, path):
-    """read(path)'s FormatError message and the traced memory peak."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError) as info:
-            read(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return str(info.value), peak
+    with traced_peak() as traced, \
+            pytest.raises(FormatError, match=f": {64 << 20} trailing bytes at byte offset "
+                                             f"{size}$"):
+        READERS[name](path)
+    assert traced.peak < 8 << 20, traced.peak
 
 
 @pytest.mark.parametrize("name", ["manifest.txt", "synth.conf"])
@@ -160,10 +163,11 @@ def test_key_value_file_over_the_cap_refused_unread(valid, tmp_path, name):
     path = tmp_path / name
     path.write_bytes((valid / name).read_bytes())
     os.truncate(path, KEY_VALUE_MAX_BYTES + 1)  # sparse: the zeros take no disk
-    message, peak = traced_peak(READERS[name], path)
-    assert message == (f"{path}: {KEY_VALUE_MAX_BYTES + 1} bytes, over the "
-                       f"{KEY_VALUE_MAX_BYTES}-byte cap on key=value files")
-    assert peak < 8 << 20, peak
+    with traced_peak() as traced, pytest.raises(FormatError) as info:
+        READERS[name](path)
+    assert str(info.value) == (f"{path}: {KEY_VALUE_MAX_BYTES + 1} bytes, over the "
+                               f"{KEY_VALUE_MAX_BYTES}-byte cap on key=value files")
+    assert traced.peak < 8 << 20, traced.peak
 
 
 def test_checkpoint_config_block_over_the_cap_refused_unread(valid, tmp_path):
@@ -173,7 +177,8 @@ def test_checkpoint_config_block_over_the_cap_refused_unread(valid, tmp_path):
     data[8:12] = config_len.to_bytes(4, "little")
     path.write_bytes(data)
     os.truncate(path, 12 + config_len + len(data))  # the block fits: only the cap refuses it
-    message, peak = traced_peak(model.load_checkpoint, path)
-    assert message == (f"{path}: config block of {config_len} bytes at byte offset 12, over "
-                       f"the {KEY_VALUE_MAX_BYTES}-byte cap on key=value text")
-    assert peak < 8 << 20, peak
+    with traced_peak() as traced, pytest.raises(FormatError) as info:
+        model.load_checkpoint(path)
+    assert str(info.value) == (f"{path}: config block of {config_len} bytes at byte offset "
+                               f"12, over the {KEY_VALUE_MAX_BYTES}-byte cap on key=value text")
+    assert traced.peak < 8 << 20, traced.peak
