@@ -80,57 +80,73 @@ def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
             raise ValueError(f"{name} frame values outside [0,1]: min {lo}, max {hi}")
     check_flow_params(alpha, iterations)
 
-    prev = frame_prev * np.float32(_BRIGHTNESS_SCALE)
-    nxt = frame_next * np.float32(_BRIGHTNESS_SCALE)
-    ex = 0.5 * (_central_dx(prev) + _central_dx(nxt))
-    ey = 0.5 * (_central_dy(prev) + _central_dy(nxt))
-    et = nxt - prev
-    denom = np.float32(alpha) ** 2 + ex * ex + ey * ey
-
-    # Jacobi iterations on u and v together, in one edge-padded buffer
-    # updated in place, so nothing is allocated inside the loop. The float32
-    # operations run in the order of the plain expressions
+    # Jacobi iterations on u and v together, updated in place, so nothing is
+    # allocated inside the loop. u and v live in one flat buffer: the
+    # (2, h+2, w+2) edge-padded planes plus one slack element at each end.
+    # Over padded rows 1..h every neighbour is then a constant flat offset
+    # (+-1, +-wp, +-wp+-1), so each step is one contiguous run of
+    # n = h*wp elements per plane, pad columns included. ex, ey, et and
+    # denom share that layout with 0, 0, 0 and alpha^2 in the pad columns,
+    # so the pad-column results are finite; nothing reads them, because
+    # the next sweep's edge replication overwrites them and the output
+    # leaves them out. Each output
+    # element gets the float32 operations of the plain expressions
     #   bar = (right + left + below + above) * 1/6
     #         + (below right + below left + above right + above left) * 1/12
     #   t = (ex * u_bar + ey * v_bar + et) / denom
     #   u = u_bar - ex * t,  v = v_bar - ey * t
-    # and so give the same bits; tests/test_flow.py keeps that loop as oracle.
-    h, w = prev.shape
-    uv = np.zeros((2, h + 2, w + 2), dtype=np.float32)
-    pair = np.empty((2, h + 1, w), dtype=np.float32)
-    bar = np.empty((2, h, w), dtype=np.float32)
-    diag = np.empty((2, h, w), dtype=np.float32)
-    t = np.empty((h, w), dtype=np.float32)
-    tmp = np.empty((h, w), dtype=np.float32)
-    u_bar, v_bar = bar
-    u_out, v_out = uv[:, 1:-1, 1:-1]
+    # in their order, so gives the same bits; tests/test_flow.py keeps that
+    # loop as oracle.
+    h, w = frame_prev.shape
+    wp, n = w + 2, h * (w + 2)
+    prev = frame_prev * np.float32(_BRIGHTNESS_SCALE)
+    nxt = frame_next * np.float32(_BRIGHTNESS_SCALE)
+    terms = np.zeros((3, h, wp), dtype=np.float32)
+    np.multiply(0.5, _central_dx(prev) + _central_dx(nxt), out=terms[0, :, 1:-1])
+    np.multiply(0.5, _central_dy(prev) + _central_dy(nxt), out=terms[1, :, 1:-1])
+    np.subtract(nxt, prev, out=terms[2, :, 1:-1])
+    exey, et = terms[:2].reshape(2, n), terms[2].reshape(n)
+    denom = np.float32(alpha) ** 2 + exey[0] * exey[0] + exey[1] * exey[1]
+
+    buf = np.zeros((2, (h + 2) * wp + 2), dtype=np.float32)
+    uv = buf[:, 1:-1].reshape(2, h + 2, wp)
+
+    def shifted(offset, length=n):  # rows 1.. of both planes, moved by offset
+        return buf[:, 1 + wp + offset:1 + wp + offset + length]
+
+    right, left = shifted(1, n + wp), shifted(-1, n + wp)
+    below, above = shifted(wp), shifted(-wp)
+    above_right, above_left, rows = shifted(1 - wp), shifted(-1 - wp), shifted(0)
+    # right + left for rows 1..h+1; the first n entries become the cross sum
+    pair = np.empty((2, n + wp), dtype=np.float32)
+    bar, below_pair = pair[:, :n], pair[:, wp:]
+    diag = np.empty((2, n), dtype=np.float32)
+    t = diag[0]
     for _ in range(iterations):
         # edge replication: border columns first, then full rows (corners)
         uv[:, 1:-1, 0] = uv[:, 1:-1, 1]
         uv[:, 1:-1, -1] = uv[:, 1:-1, -2]
         uv[:, 0] = uv[:, 1]
         uv[:, -1] = uv[:, -2]
-        # neighbor average: 4-neighbors 1/6, diagonals 1/12. The right+left
-        # sum of a row starts both the cross sum of that row and the
-        # diagonal sum of the row above it.
-        np.add(uv[:, 1:, 2:], uv[:, 1:, :-2], out=pair)
-        np.add(pair[:, :-1], uv[:, 2:, 1:-1], out=bar)
-        np.add(bar, uv[:, :-2, 1:-1], out=bar)
-        np.add(pair[:, 1:], uv[:, :-2, 2:], out=diag)
-        np.add(diag, uv[:, :-2, :-2], out=diag)
+        # neighbour average: 4-neighbours 1/6, diagonals 1/12; the diagonal
+        # sum reads the row below's right + left before bar overwrites it
+        np.add(right, left, out=pair)
+        np.add(below_pair, above_right, out=diag)
+        np.add(diag, above_left, out=diag)
+        np.add(bar, below, out=bar)
+        np.add(bar, above, out=bar)
         np.multiply(bar, _SIXTH, out=bar)
         np.multiply(diag, _TWELFTH, out=diag)
         np.add(bar, diag, out=bar)
-        # data term and update
-        np.multiply(ex, u_bar, out=t)
-        np.multiply(ey, v_bar, out=tmp)
-        np.add(t, tmp, out=t)
+        # data term and update; ey * t goes first, because t is diag[0]
+        np.multiply(exey, bar, out=diag)
+        np.add(diag[0], diag[1], out=t)
         np.add(t, et, out=t)
         np.divide(t, denom, out=t)
-        np.multiply(ex, t, out=tmp)
-        np.subtract(u_bar, tmp, out=u_out)
-        np.multiply(ey, t, out=tmp)
-        np.subtract(v_bar, tmp, out=v_out)
+        np.multiply(exey[1], t, out=diag[1])
+        np.multiply(exey[0], t, out=diag[0])
+        np.subtract(bar, diag, out=rows)
+    u_out, v_out = uv[:, 1:-1, 1:-1]
     return FlowField(u=u_out.copy(), v=v_out.copy())
 
 

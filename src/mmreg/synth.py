@@ -12,6 +12,7 @@ optical flow sees usable gradients.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ OBJECT_KINDS = ("rectangle", "ellipse")
 # with 40 objects take 262 MB and 3,200
 MAX_SEQUENCE_BYTES = 1 << 32
 MAX_OBJECT_FRAMES = 1 << 20
+# ceiling on the background texture the camera pans over, world_h x world_w
+# pixels (world_size): as many pixels as the frames of the largest sequence
+# hold; the README's sequence pans over 879x256
+MAX_WORLD_PIXELS = MAX_SEQUENCE_BYTES // 16
 
 
 @dataclass
@@ -73,6 +78,23 @@ class SceneConfig:
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not all(map(math.isfinite, self.camera_translation)):
             raise ValueError(f"camera translation must be finite, got {self.camera_translation}")
+        world_h, world_w = world_size(self)
+        if world_h * world_w > MAX_WORLD_PIXELS:
+            raise ValueError(f"a camera path of {quoted_int(self.frame_count)} frames at "
+                             f"{self.camera_translation} px/frame pans over a background "
+                             f"{quoted_int(world_w)} wide and {quoted_int(world_h)} high, "
+                             f"over the cap of {MAX_WORLD_PIXELS} pixels")
+
+
+def world_size(config: SceneConfig) -> tuple[int, int]:
+    """(height, width) of the background the camera pans over: one frame
+    plus the camera path. Frame t's offset round(t * step) is monotone in
+    t, so frames 0 and frame_count - 1 bound the path; a path past float
+    range counts as the largest float."""
+    last = config.frame_count - 1
+    tx, ty = config.camera_translation
+    return tuple(side + round(min(abs(last * step), sys.float_info.max))
+                 for side, step in ((config.height, ty), (config.width, tx)))
 
 
 @dataclass
@@ -145,8 +167,7 @@ def generate_sequence(config: SceneConfig) -> list[Frame]:
     cam_x = [int(round(t * tx)) for t in range(n)]
     cam_y = [int(round(t * ty)) for t in range(n)]
     base_x, base_y = min(cam_x), min(cam_y)
-    world_w = config.width + (max(cam_x) - base_x)
-    world_h = config.height + (max(cam_y) - base_y)
+    world_h, world_w = world_size(config)
 
     texture = _bilinear_noise(rng, world_h, world_w, cell=16)
     background = (0.15 + 0.35 * texture).astype(np.float32)

@@ -615,6 +615,19 @@ SYNTH_SIZE_CASES = {
     "objects": ({"objects": 100000000},
                 f"100000000 objects in 10 frames make 1000000000 object draws, over the cap "
                 f"of {synth.MAX_OBJECT_FRAMES}"),
+    # 10 KB of planes, but the camera path spans a texture 9e7 pixels wide
+    "translate": ({"frames": 10, "width": 64, "height": 64, "objects": 2,
+                   "translate": "10000000,0"},
+                  f"a camera path of 10 frames at (10000000.0, 0.0) px/frame pans over a "
+                  f"background 90000064 wide and 64 high, over the cap of "
+                  f"{synth.MAX_WORLD_PIXELS} pixels"),
+    # the last frame's offset, 9e308, is past float range
+    "translate-overflow": ({"frames": 10, "width": 64, "height": 64, "objects": 2,
+                            "translate": "1e308,0"},
+                           f"a camera path of 10 frames at (1e+308, 0.0) px/frame pans over a "
+                           f"background '{str(int(sys.float_info.max))[:60]}' and 249 more "
+                           f"characters wide and 64 high, over the cap of "
+                           f"{synth.MAX_WORLD_PIXELS} pixels"),
 }
 
 

@@ -115,8 +115,11 @@ def reference_estimate_flow(frame_prev, frame_next, alpha, iterations):
 
 
 class TestBufferedLoopMatchesReference:
+    # (1, 2), (2, 1), (3, 401) and (192, 400): flat neighbour offsets that
+    # cross row boundaries in the padded buffer
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (5, 7), (48, 48),
-                                       (96, 128)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+                                       (96, 128), (1, 2), (2, 1), (3, 401), (192, 400)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
     @pytest.mark.parametrize("iterations", [1, 2, 200])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
     def test_bit_identical(self, shape, iterations, alpha):
@@ -129,6 +132,24 @@ class TestBufferedLoopMatchesReference:
             assert field.u.dtype == np.float32 and field.u.shape == shape
             assert field.u.tobytes() == u.tobytes()
             assert field.v.tobytes() == v.tobytes()
+
+
+class TestPadColumns:
+    """The pad columns of the flat buffer carry don't-care values; with 0,
+    0, 0 and alpha^2 in ex, ey, et and denom there, they stay finite and
+    raise no floating-point error."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    @pytest.mark.parametrize("frames", ["random", "zeros", "ones", "identical"])
+    def test_no_float_errors(self, frames, alpha):
+        rng = np.random.default_rng(9)
+        shape = (17, 23)
+        prev, nxt = rng.random(shape, dtype=np.float32), rng.random(shape, dtype=np.float32)
+        prev, nxt = {"random": (prev, nxt), "zeros": (np.zeros(shape), np.zeros(shape)),
+                     "ones": (np.ones(shape), np.ones(shape)), "identical": (prev, prev)}[frames]
+        with np.errstate(all="raise"):
+            field = flow.estimate_flow(prev, nxt, alpha=alpha, iterations=200)
+        assert np.isfinite(field.u).all() and np.isfinite(field.v).all()
 
 
 class TestFlowToChannels:
