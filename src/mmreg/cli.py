@@ -192,9 +192,13 @@ def cmd_dataset(args) -> int:
 
 def _manifest_frame_paths(manifest_path: Path, manifest, override: str | None) -> list[Path]:
     frames_dir = _resolve_frames_dir(manifest_path, manifest, override)
-    if not manifest.frame_files:
-        return _frame_paths(frames_dir)
-    return [frames_dir / name for name in manifest.frame_files]
+    if manifest.frame_files:
+        return [frames_dir / name for name in manifest.frame_files]
+    paths = _frame_paths(frames_dir)
+    if len(paths) != manifest.frame_count:
+        raise FormatError(f"{manifest_path}: frame_count {manifest.frame_count} but "
+                          f"{len(paths)} .mmf frames in {frames_dir}")
+    return paths
 
 
 def cmd_train(args) -> int:
@@ -413,7 +417,9 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # a backstop: size flags should be refused by their validators

@@ -8,7 +8,6 @@ provide motion channels for the classifier, not a state-of-the-art flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +24,6 @@ _SIXTH = np.float32(1.0 / 6.0)
 _TWELFTH = np.float32(1.0 / 12.0)
 
 
-@dataclass
-class FlowField:
-    """Per-pixel velocities in px/frame: u horizontal (+x right), v vertical (+y down)."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-
 def check_flow_params(alpha: float = DEFAULT_ALPHA, iterations: int = DEFAULT_ITERATIONS,
                       clamp: float = DEFAULT_CLAMP) -> None:
     """Reject an alpha or clamp that is not positive and finite (NaN
@@ -45,28 +36,17 @@ def check_flow_params(alpha: float = DEFAULT_ALPHA, iterations: int = DEFAULT_IT
         raise ValueError(f"clamp must be positive and finite, got {clamp}")
 
 
-def _replicate_pad(plane: np.ndarray) -> np.ndarray:
-    return np.pad(plane, 1, mode="edge")
-
-
-def _central_dx(plane: np.ndarray) -> np.ndarray:
-    p = _replicate_pad(plane)
-    return 0.5 * (p[1:-1, 2:] - p[1:-1, :-2])
-
-
-def _central_dy(plane: np.ndarray) -> np.ndarray:
-    p = _replicate_pad(plane)
-    return 0.5 * (p[2:, 1:-1] - p[:-2, 1:-1])
-
-
 def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
                   alpha: float = DEFAULT_ALPHA,
-                  iterations: int = DEFAULT_ITERATIONS) -> FlowField:
+                  iterations: int = DEFAULT_ITERATIONS) -> np.ndarray:
     """Estimate (u, v) such that a feature at (x, y) in frame_prev appears
     near (x+u, y+v) in frame_next.
 
-    Inputs are same-shaped planes with values in [0, 1]. alpha weights the
-    smoothness term; more iterations propagate flow further from edges.
+    Inputs are same-shaped (H, W) planes with values in [0, 1]. alpha
+    weights the smoothness term; more iterations propagate flow further
+    from edges. Returns the velocities in px/frame as one float32
+    (2, H, W) array: u (horizontal, +x right) at index 0 and v (vertical,
+    +y down) at index 1.
     """
     frame_prev = np.asarray(frame_prev, dtype=np.float32)
     frame_next = np.asarray(frame_next, dtype=np.float32)
@@ -89,8 +69,8 @@ def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
     # denom share that layout with 0, 0, 0 and alpha^2 in the pad columns,
     # so the pad-column results are finite; nothing reads them, because
     # the next sweep's edge replication overwrites them and the output
-    # leaves them out. Each output
-    # element gets the float32 operations of the plain expressions
+    # leaves them out. Each output element gets the float32 operations of
+    # the plain expressions
     #   bar = (right + left + below + above) * 1/6
     #         + (below right + below left + above right + above left) * 1/12
     #   t = (ex * u_bar + ey * v_bar + et) / denom
@@ -99,12 +79,17 @@ def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
     # loop as oracle.
     h, w = frame_prev.shape
     wp, n = w + 2, h * (w + 2)
-    prev = frame_prev * np.float32(_BRIGHTNESS_SCALE)
-    nxt = frame_next * np.float32(_BRIGHTNESS_SCALE)
+    # prev and next, scaled and edge-padded once; both central differences
+    # of both frames come from that one array
+    p = np.pad(np.stack([frame_prev, frame_next]) * np.float32(_BRIGHTNESS_SCALE),
+               ((0, 0), (1, 1), (1, 1)), mode="edge")
+    dx = 0.5 * (p[:, 1:-1, 2:] - p[:, 1:-1, :-2])
+    dy = 0.5 * (p[:, 2:, 1:-1] - p[:, :-2, 1:-1])
     terms = np.zeros((3, h, wp), dtype=np.float32)
-    np.multiply(0.5, _central_dx(prev) + _central_dx(nxt), out=terms[0, :, 1:-1])
-    np.multiply(0.5, _central_dy(prev) + _central_dy(nxt), out=terms[1, :, 1:-1])
-    np.subtract(nxt, prev, out=terms[2, :, 1:-1])
+    np.multiply(0.5, dx[0] + dx[1], out=terms[0, :, 1:-1])
+    np.multiply(0.5, dy[0] + dy[1], out=terms[1, :, 1:-1])
+    np.subtract(p[1, 1:-1, 1:-1], p[0, 1:-1, 1:-1], out=terms[2, :, 1:-1])
+    del p, dx, dy  # the sweeps need only terms
     exey, et = terms[:2].reshape(2, n), terms[2].reshape(n)
     denom = np.float32(alpha) ** 2 + exey[0] * exey[0] + exey[1] * exey[1]
 
@@ -146,23 +131,13 @@ def estimate_flow(frame_prev: np.ndarray, frame_next: np.ndarray,
         np.multiply(exey[1], t, out=diag[1])
         np.multiply(exey[0], t, out=diag[0])
         np.subtract(bar, diag, out=rows)
-    u_out, v_out = uv[:, 1:-1, 1:-1]
-    return FlowField(u=u_out.copy(), v=v_out.copy())
+    return uv[:, 1:-1, 1:-1].copy()
 
 
-def flow_to_channels(flow: FlowField, clamp: float = DEFAULT_CLAMP) -> tuple[np.ndarray, np.ndarray]:
-    """Map velocities to [0, 1] planes: clamp to [-F, F], then affine so
-    that zero flow lands exactly on 0.5."""
+def flow_to_channels(uv: np.ndarray, clamp: float = DEFAULT_CLAMP) -> np.ndarray:
+    """Map a (2, H, W) flow field to float32 [0, 1] planes of the same
+    shape: clamp to [-F, F], then affine so that zero flow lands exactly
+    on 0.5."""
     check_flow_params(clamp=clamp)
     f = np.float32(clamp)
-
-    def squash(plane):
-        return np.clip(plane, -f, f) / (2.0 * f) + np.float32(0.5)
-
-    return squash(flow.u).astype(np.float32), squash(flow.v).astype(np.float32)
-
-
-def zero_flow(height: int, width: int) -> FlowField:
-    """The all-zero field, used for the first frame of a sequence."""
-    return FlowField(u=np.zeros((height, width), dtype=np.float32),
-                     v=np.zeros((height, width), dtype=np.float32))
+    return (np.clip(uv, -f, f) / (2.0 * f) + np.float32(0.5)).astype(np.float32, copy=False)

@@ -217,11 +217,11 @@ def add_flow_channels(frames: Iterable[Frame], alpha: float = flow.DEFAULT_ALPHA
     def with_flow(pair) -> Frame:
         prev, frame = pair
         if prev is None:
-            field = flow.zero_flow(frame.height, frame.width)
+            uv = np.zeros((2, frame.height, frame.width), dtype=np.float32)
         else:
-            field = flow.estimate_flow(prev.plane("Gr"), frame.plane("Gr"),
-                                       alpha=alpha, iterations=iterations)
-        u01, v01 = flow.flow_to_channels(field, clamp=clamp)
+            uv = flow.estimate_flow(prev.plane("Gr"), frame.plane("Gr"),
+                                    alpha=alpha, iterations=iterations)
+        u01, v01 = flow.flow_to_channels(uv, clamp=clamp)
         return frame.with_channels({"U": u01, "V": v01})
 
     return bounded_map(with_flow, pairs(), worker_count())

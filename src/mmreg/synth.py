@@ -108,22 +108,27 @@ class _SceneObject:
     color: np.ndarray  # (3,) rgb
 
 
-def _bilinear_noise(rng: np.random.Generator, height: int, width: int, cell: int) -> np.ndarray:
-    """Smooth low-frequency field in [0,1] from a coarse random grid."""
-    gh = height // cell + 2
-    gw = width // cell + 2
-    grid = rng.random((gh, gw))
-    ys = np.arange(height) / cell
+def _background(rng: np.random.Generator, height: int, width: int, cell: int) -> np.ndarray:
+    """Float32 brightness 0.15 + 0.35 * texture, where the texture is a
+    smooth low-frequency field in [0,1] from a coarse random grid. The
+    float64 work runs one grid-cell row (cell rows) at a time."""
+    grid = rng.random((height // cell + 2, width // cell + 2))
     xs = np.arange(width) / cell
-    y0 = ys.astype(np.intp)
     x0 = xs.astype(np.intp)
-    fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    g00 = grid[np.ix_(y0, x0)]
-    g01 = grid[np.ix_(y0, x0 + 1)]
-    g10 = grid[np.ix_(y0 + 1, x0)]
-    g11 = grid[np.ix_(y0 + 1, x0 + 1)]
-    return g00 * (1 - fy) * (1 - fx) + g01 * (1 - fy) * fx + g10 * fy * (1 - fx) + g11 * fy * fx
+    background = np.empty((height, width), dtype=np.float32)
+    for top in range(0, height, cell):
+        ys = np.arange(top, min(top + cell, height)) / cell
+        y0 = ys.astype(np.intp)
+        fy = (ys - y0)[:, None]
+        g00 = grid[np.ix_(y0, x0)]
+        g01 = grid[np.ix_(y0, x0 + 1)]
+        g10 = grid[np.ix_(y0 + 1, x0)]
+        g11 = grid[np.ix_(y0 + 1, x0 + 1)]
+        texture = (g00 * (1 - fy) * (1 - fx) + g01 * (1 - fy) * fx + g10 * fy * (1 - fx)
+                   + g11 * fy * fx)
+        background[top:top + len(ys)] = 0.15 + 0.35 * texture
+    return background
 
 
 def _coverage(obj: _SceneObject, cx: float, cy: float, height: int, width: int):
@@ -169,8 +174,7 @@ def generate_sequence(config: SceneConfig) -> list[Frame]:
     base_x, base_y = min(cam_x), min(cam_y)
     world_h, world_w = world_size(config)
 
-    texture = _bilinear_noise(rng, world_h, world_w, cell=16)
-    background = (0.15 + 0.35 * texture).astype(np.float32)
+    background = _background(rng, world_h, world_w, cell=16)
 
     lo_depth, hi_depth = config.depth_range
     objects = []

@@ -287,6 +287,20 @@ class TestDataset:
                             r"100-byte cap on key=value files\n", err), err
         assert not (tmp_path / "d").exists()
 
+    def test_missing_channel_message_unquoted(self, small_corpus, tmp_path, capsys):
+        src = tmp_path / "flowed"
+        shutil.copytree(small_corpus / "flowed", src)
+        for path in sorted(src.glob("*.mmf")):
+            frame = read_frame(path)
+            write_frame(Frame({n: frame.plane(n) for n in frame.channel_names if n != "L"}),
+                        path)
+        capsys.readouterr()
+        assert run("dataset", "--in-dir", src, "--out", tmp_path / "d", "--p", 16,
+                   "--s", 16, "--classes", 3, "--major", 8, "--minor", 4) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: frame has no channel 'L'; present: "
+                       "['R', 'G', 'B', 'Gr', 'U', 'V']\n"), err
+
     def test_tau_filter_failure_message(self, tmp_path, capsys):
         # constant frames: everything filtered at positive tau
         src = tmp_path / "flat"
@@ -473,6 +487,44 @@ class TestTrainEval:
         for name in names:
             assert (tmp_path / "report" / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("frame_count", [0, 2, 99])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_frameless_manifest_frame_count_checked(self, small_corpus, tmp_path, capsys,
+                                                    command, frame_count):
+        # without frame_<i> entries the frames directory lists the frames,
+        # and it must hold frame_count of them
+        manifest = read_manifest(small_corpus / "ds" / "manifest.txt")
+        manifest.frame_files, manifest.frame_count = [], frame_count
+        manifest.frames_dir = str(small_corpus / "flowed")
+        ds = tmp_path / "manifest.txt"
+        pipeline.write_manifest(manifest, ds)
+        ckpt = tmp_path / "init" / "checkpoint.mmrc"
+        assert run("train", "--dataset", small_corpus / "ds" / "manifest.txt", "--out",
+                   ckpt.parent, "--channels", "Gr,L", "--filters", "2,2,2", "--kernel", 3,
+                   "--epochs", 0) == 0
+        argv = {"train": ("train", "--dataset", ds, "--channels", "Gr,L", "--filters",
+                          "2,2,2", "--kernel", 3, "--epochs", 0),
+                "eval": ("eval", "--checkpoint", ckpt, "--dataset", ds)}[command]
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {ds}: frame_count {frame_count} but 3 .mmf frames in "
+                       f"{small_corpus / 'flowed'}\n"), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_frameless_manifest_with_its_frames_runs(self, small_corpus, tmp_path, command):
+        manifest = read_manifest(small_corpus / "ds" / "manifest.txt")
+        manifest.frame_files = []
+        manifest.frames_dir = str(small_corpus / "flowed")
+        ds = tmp_path / "manifest.txt"
+        pipeline.write_manifest(manifest, ds)
+        flags = ("--channels", "Gr,L", "--filters", "2,2,2", "--kernel", 3, "--epochs", 0)
+        assert run("train", "--dataset", ds, "--out", tmp_path / "run", *flags) == 0
+        if command == "eval":
+            assert run("eval", "--checkpoint", tmp_path / "run" / "checkpoint.mmrc",
+                       "--dataset", ds, "--k-list", "1,2", "--out", tmp_path / "report") == 0
 
     def test_missing_checkpoint_fails(self, small_corpus, tmp_path, capsys):
         ds = small_corpus / "ds" / "manifest.txt"
@@ -693,8 +745,8 @@ class TestMemoryBackstop:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
         result = subprocess.run(
-            # under synth's 4 GiB cap on a sequence's planes, but its float64
-            # background texture alone takes 2 GB
+            # under synth's 4 GiB cap on a sequence's planes; its 1 GB float32
+            # background fits under the address-space cap, its first frame not
             [sys.executable, "-m", "mmreg.cli", "synth", "--out", tmp_path / "o",
              "--width", "16000", "--height", "16000", "--frames", "1"],
             env=env, capture_output=True, text=True, timeout=120,

@@ -12,23 +12,23 @@ def gaussian_blob(h, w, cy, cx, sigma, amp=1.0):
 class TestEstimateFlow:
     def test_identical_frames_zero_flow(self):
         frame = np.random.default_rng(0).random((20, 30), dtype=np.float32)
-        field = flow.estimate_flow(frame, frame)
-        assert np.max(np.abs(field.u)) < 1e-6
-        assert np.max(np.abs(field.v)) < 1e-6
+        u, v = flow.estimate_flow(frame, frame)
+        assert np.max(np.abs(u)) < 1e-6
+        assert np.max(np.abs(v)) < 1e-6
 
     def test_constant_frames_zero_flow(self):
         a = np.full((16, 16), 0.4, dtype=np.float32)
         b = np.full((16, 16), 0.4, dtype=np.float32)
-        field = flow.estimate_flow(a, b)
-        assert not field.u.any() and not field.v.any()
+        u, v = flow.estimate_flow(a, b)
+        assert not u.any() and not v.any()
 
     def test_translated_blob_recovered(self):
         # blob moved by (2, 0); oracle: mean endpoint error over support < 0.5 px
         prev = gaussian_blob(48, 48, 24, 23, sigma=3.0)
         nxt = gaussian_blob(48, 48, 24, 25, sigma=3.0)
-        field = flow.estimate_flow(prev, nxt, alpha=1.0, iterations=200)
+        u, v = flow.estimate_flow(prev, nxt, alpha=1.0, iterations=200)
         support = prev > 0.1
-        epe = np.sqrt((field.u[support] - 2.0) ** 2 + field.v[support] ** 2)
+        epe = np.sqrt((u[support] - 2.0) ** 2 + v[support] ** 2)
         assert epe.mean() < 0.5
 
     def test_antisymmetry_on_blob(self):
@@ -37,8 +37,8 @@ class TestEstimateFlow:
         fwd = flow.estimate_flow(prev, nxt)
         bwd = flow.estimate_flow(nxt, prev)
         support = prev > 0.1
-        diff = np.sqrt((fwd.u[support] + bwd.u[support]) ** 2
-                       + (fwd.v[support] + bwd.v[support]) ** 2)
+        diff = np.sqrt((fwd[0][support] + bwd[0][support]) ** 2
+                       + (fwd[1][support] + bwd[1][support]) ** 2)
         assert diff.mean() < 0.5
 
     def test_dim_mismatch_rejected(self):
@@ -66,15 +66,15 @@ class TestEstimateFlow:
         nxt = gaussian_blob(32, 32, 16, 17, sigma=2.5)
         f1 = flow.estimate_flow(prev, nxt)
         f2 = flow.estimate_flow(prev.copy(), nxt.copy())
-        np.testing.assert_array_equal(f1.u, f2.u)
-        np.testing.assert_array_equal(f1.v, f2.v)
+        np.testing.assert_array_equal(f1[0], f2[0])
+        np.testing.assert_array_equal(f1[1], f2[1])
 
     def test_flow_finite(self):
         rng = np.random.default_rng(5)
         prev = rng.random((24, 24), dtype=np.float32)
         nxt = rng.random((24, 24), dtype=np.float32)
-        field = flow.estimate_flow(prev, nxt, iterations=50)
-        assert np.isfinite(field.u).all() and np.isfinite(field.v).all()
+        u, v = flow.estimate_flow(prev, nxt, iterations=50)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
 
 
 def reference_estimate_flow(frame_prev, frame_next, alpha, iterations):
@@ -129,9 +129,9 @@ class TestBufferedLoopMatchesReference:
         for a, b in ((prev, nxt), (prev, prev)):
             field = flow.estimate_flow(a, b, alpha=alpha, iterations=iterations)
             u, v = reference_estimate_flow(a, b, alpha, iterations)
-            assert field.u.dtype == np.float32 and field.u.shape == shape
-            assert field.u.tobytes() == u.tobytes()
-            assert field.v.tobytes() == v.tobytes()
+            assert field.dtype == np.float32 and field.shape == (2, *shape)
+            assert field[0].tobytes() == u.tobytes()
+            assert field[1].tobytes() == v.tobytes()
 
 
 class TestPadColumns:
@@ -148,34 +148,30 @@ class TestPadColumns:
         prev, nxt = {"random": (prev, nxt), "zeros": (np.zeros(shape), np.zeros(shape)),
                      "ones": (np.ones(shape), np.ones(shape)), "identical": (prev, prev)}[frames]
         with np.errstate(all="raise"):
-            field = flow.estimate_flow(prev, nxt, alpha=alpha, iterations=200)
-        assert np.isfinite(field.u).all() and np.isfinite(field.v).all()
+            u, v = flow.estimate_flow(prev, nxt, alpha=alpha, iterations=200)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
 
 
 class TestFlowToChannels:
     def test_zero_maps_to_half(self):
-        field = flow.zero_flow(4, 4)
-        u01, v01 = flow.flow_to_channels(field, clamp=8.0)
+        u01, v01 = flow.flow_to_channels(np.zeros((2, 4, 4), np.float32), clamp=8.0)
         assert np.all(u01 == np.float32(0.5)) and np.all(v01 == np.float32(0.5))
 
     def test_extremes(self):
-        field = flow.FlowField(u=np.array([[8.0, -8.0]]), v=np.zeros((1, 2)))
-        u01, _ = flow.flow_to_channels(field, clamp=8.0)
+        u01, _ = flow.flow_to_channels(np.array([[[8.0, -8.0]], [[0.0, 0.0]]]), clamp=8.0)
         np.testing.assert_allclose(u01, [[1.0, 0.0]])
 
     def test_clamped_beyond_range(self):
-        field = flow.FlowField(u=np.array([[16.0, -100.0]]), v=np.zeros((1, 2)))
-        u01, _ = flow.flow_to_channels(field, clamp=8.0)
+        u01, _ = flow.flow_to_channels(np.array([[[16.0, -100.0]], [[0.0, 0.0]]]), clamp=8.0)
         np.testing.assert_allclose(u01, [[1.0, 0.0]])
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        field = flow.FlowField(u=rng.standard_normal((8, 8)) * 20,
-                               v=rng.standard_normal((8, 8)) * 20)
-        u01, v01 = flow.flow_to_channels(field)
+        uv = np.stack([rng.standard_normal((8, 8)) * 20, rng.standard_normal((8, 8)) * 20])
+        u01, v01 = flow.flow_to_channels(uv)
         for plane in (u01, v01):
             assert plane.min() >= 0.0 and plane.max() <= 1.0
 
     def test_bad_clamp_rejected(self):
         with pytest.raises(ValueError, match="clamp"):
-            flow.flow_to_channels(flow.zero_flow(2, 2), clamp=0.0)
+            flow.flow_to_channels(np.zeros((2, 2, 2), np.float32), clamp=0.0)

@@ -171,7 +171,7 @@ def flow_channels_serial(frames, alpha, iterations, clamp):
             frame = rgb_to_gray(frame)
         gray = frame.plane("Gr")
         if prev_gray is None:
-            field = flow.zero_flow(frame.height, frame.width)
+            field = np.zeros((2, frame.height, frame.width), np.float32)
         else:
             field = flow.estimate_flow(prev_gray, gray, alpha=alpha, iterations=iterations)
         u01, v01 = flow.flow_to_channels(field, clamp=clamp)

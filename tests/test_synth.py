@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from mmreg import synth
 from mmreg.offsets import generate_offsets
 from mmreg.pipeline import DEFAULT_TAU, build_dataset, rgb_to_gray
 from mmreg.synth import SceneConfig, generate_sequence
+from helpers import traced_peak
 
 
 def small_config(**overrides):
@@ -82,3 +84,37 @@ class TestGenerateSequence:
         for kind in ("rectangle", "ellipse"):
             frames = generate_sequence(small_config(object_kinds=(kind,)))
             assert frames[0].plane("L").max() > 0.1
+
+
+def background_oracle(rng, height, width, cell):
+    """The background as one whole-array float64 expression, as first
+    written: the oracle for synth._background's strips."""
+    grid = rng.random((height // cell + 2, width // cell + 2))
+    ys = np.arange(height) / cell
+    xs = np.arange(width) / cell
+    y0 = ys.astype(np.intp)
+    x0 = xs.astype(np.intp)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    g00 = grid[np.ix_(y0, x0)]
+    g01 = grid[np.ix_(y0, x0 + 1)]
+    g10 = grid[np.ix_(y0 + 1, x0)]
+    g11 = grid[np.ix_(y0 + 1, x0 + 1)]
+    texture = g00 * (1 - fy) * (1 - fx) + g01 * (1 - fy) * fx + g10 * fy * (1 - fx) + g11 * fy * fx
+    return (0.15 + 0.35 * texture).astype(np.float32)
+
+
+class TestBackground:
+    # heights below, at, between and above multiples of the cell
+    @pytest.mark.parametrize("height, width, cell", [(1, 1, 16), (15, 7, 16), (16, 33, 16),
+                                                     (17, 40, 16), (97, 201, 16), (50, 9, 5)])
+    def test_same_bytes_as_whole_array(self, height, width, cell):
+        got = synth._background(np.random.default_rng(height), height, width, cell)
+        want = background_oracle(np.random.default_rng(height), height, width, cell)
+        assert got.dtype == np.float32 and got.shape == (height, width)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_near_the_background(self):
+        with traced_peak() as traced:
+            background = synth._background(np.random.default_rng(3), 1000, 2000, 16)
+        assert traced.peak < 2 * background.nbytes, traced.peak
