@@ -85,18 +85,31 @@ def _frame_paths(in_dir: Path) -> list[Path]:
 
 
 def _read_frames(paths: list[Path]) -> Iterator[Frame]:
-    """Read frames in order; each must have the first frame's size and channels."""
-    first = None
+    """Read frames in order; each must have the first frame's size and
+    channels. Only those are kept of the first frame, so the stream holds
+    no frame once the next is pulled."""
+    size = channels = None
     for path in paths:
         frame = read_frame(path)
-        first = first or frame
-        if (frame.width, frame.height) != (first.width, first.height):
+        if size is None:
+            size, channels = (frame.width, frame.height), frame.channel_names
+        if (frame.width, frame.height) != size:
             raise FormatError(f"{path}: frame size {frame.width}x{frame.height} differs "
-                              f"from {first.width}x{first.height} of {paths[0]}")
-        if frame.channel_names != first.channel_names:
+                              f"from {size[0]}x{size[1]} of {paths[0]}")
+        if frame.channel_names != channels:
             raise FormatError(f"{path}: channels {frame.channel_names} differ from "
-                              f"{first.channel_names} of {paths[0]}")
+                              f"{channels} of {paths[0]}")
         yield frame
+
+
+def _peek_frames(paths: list[Path]) -> tuple[tuple[int, int, list[str]], Iterator[Frame]]:
+    """The first frame's (width, height, channel names) and the whole
+    stream of _read_frames, which lets go of the first frame once pulled."""
+    frames = _read_frames(paths)
+    first = next(frames)
+    # chain holds its arguments to the end: an exhausted list iterator
+    # holds no list, where a list would hold the frame
+    return (first.width, first.height, first.channel_names), chain(iter([first]), frames)
 
 
 def _resolve_frames_dir(manifest_path: Path, manifest, override: str | None) -> Path:
@@ -165,12 +178,9 @@ def cmd_dataset(args) -> int:
     in_dir = Path(args.in_dir)
     paths = _frame_paths(in_dir)
     offsets = generate_offsets(args.classes, args.major, args.minor, args.rot)
-    frames = _read_frames(paths)
-    first = next(frames)
-    channels = first.channel_names
-
-    count = int(pipeline.patch_counts(chain([first], frames), offsets, args.p, args.s,
-                                      args.tau, args.fill).sum())
+    (_, _, channels), frames = _peek_frames(paths)
+    count = int(pipeline.patch_counts(frames, offsets, args.p, args.s, args.tau,
+                                      args.fill).sum())
     if count == 0:
         raise ValueError(f"variance filter (tau={args.tau}) dropped every patch; lower tau")
     out = Path(args.out)
@@ -229,22 +239,23 @@ def cmd_train(args) -> int:
     net = model.build_model(config)
 
     paths = _manifest_frame_paths(manifest_path, manifest, args.frames)
-    frames = list(_read_frames(paths))
-    rows, cols = pipeline.patch_grid_shape(frames[0].height, frames[0].width,
-                                           manifest.patch_size, manifest.stride)
+    (width, height, _), frames = _peek_frames(paths)
+    rows, cols = pipeline.patch_grid_shape(height, width, manifest.patch_size, manifest.stride)
     bound = len(paths) * len(manifest.offsets) * rows * cols
     if not 1 <= manifest.patch_count <= bound:
         raise FormatError(f"{manifest_path}: patch_count {manifest.patch_count} outside "
                           f"[1, {bound}] for {len(paths)} frames x {len(manifest.offsets)} "
                           f"offsets x {rows * cols} grid cells")
-    x, y, _, _ = pipeline.patch_arrays(frames, manifest.offsets, manifest.patch_size,
-                                       manifest.stride, manifest.tau, manifest.fill, selected)
-    del frames  # training needs only the patches
+    # training gathers each batch from the table: no patch is copied out
+    # beforehand, and the table keeps only the selected planes of the frames
+    table = pipeline.PatchTable(frames, len(paths), manifest.offsets, manifest.patch_size,
+                                manifest.stride, manifest.tau, manifest.fill, selected)
+    y = table.labels
     if len(y) != manifest.patch_count:
         raise FormatError(f"{manifest_path}: frames reproduce {len(y)} patches, not its "
                           f"patch_count {manifest.patch_count}")
 
-    net, history = model.train(net, x, y, train_config)
+    net, history = model.train(net, table, y, train_config)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

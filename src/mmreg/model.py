@@ -308,6 +308,10 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
           config: TrainConfig) -> tuple[Network, list[float]]:
     """Mini-batch SGD with momentum; updates net in place.
 
+    x holds the (n, p, p, C) patches: an array, or an object with its
+    shape, ndim and dtype whose x[idx] gathers rows, such as a
+    pipeline.PatchTable.
+
     Deterministic per seed: the per-epoch shuffle and the within-batch
     reduction order are fixed. Each batch runs in blas_workers() patch
     blocks on a thread pool that lives for this call, over buffers sized

@@ -18,6 +18,7 @@ import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -227,18 +228,6 @@ def add_flow_channels(frames: Iterable[Frame], alpha: float = flow.DEFAULT_ALPHA
     return bounded_map(with_flow, pairs(), worker_count())
 
 
-def shift_plane(plane: np.ndarray, dx: int, dy: int, fill: float) -> np.ndarray:
-    """Translate a plane by (dx right, dy down); vacated pixels get fill."""
-    h, w = plane.shape
-    out = np.full_like(plane, fill)
-    src_rows = slice(max(-dy, 0), h - max(dy, 0))
-    dst_rows = slice(max(dy, 0), h + min(dy, 0))
-    src_cols = slice(max(-dx, 0), w - max(dx, 0))
-    dst_cols = slice(max(dx, 0), w + min(dx, 0))
-    out[dst_rows, dst_cols] = plane[src_rows, src_cols]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Patch extraction and variance filtering
 # ---------------------------------------------------------------------------
@@ -288,6 +277,54 @@ def extract_patches(frame: Frame, p: int, s: int,
             for i in range(rows) for j in range(cols)]
 
 
+class _DepthShift:
+    """The patch grid's one depth shift, for frames of one size under a
+    table of offsets; the constructor makes patch_grid's checks.
+
+    L is padded once, with fill, by the table's largest |dy| rows and |dx|
+    columns on every side. The plane shifted by an offset (dx right, dy
+    down, vacated pixels taking fill) is then the frame-sized window of
+    the padded plane whose top-left corner is that offset's corner.
+    """
+
+    def __init__(self, height: int, width: int, offsets: Sequence[OffsetClass], p: int,
+                 s: int, tau: float, fill: float):
+        check_grid_params(p, s, tau, fill)
+        patch_grid_shape(height, width, p, s)
+        for offset in offsets:
+            if abs(offset.dx) >= width or abs(offset.dy) >= height:
+                raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
+                                 f"{width}x{height}")
+        self.height, self.width, self.p, self.s, self.tau, self.fill = (
+            height, width, p, s, tau, fill)
+        self.pad = (max(abs(o.dy) for o in offsets), max(abs(o.dx) for o in offsets))
+        self.padded_shape = (height + 2 * self.pad[0], width + 2 * self.pad[1])
+        self.corners = [(self.pad[0] - o.dy, self.pad[1] - o.dx) for o in offsets]
+
+    def padded(self, plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The L plane inside its border of fill, written to out if given."""
+        out = np.empty(self.padded_shape, np.float32) if out is None else out
+        out[...] = self.fill
+        out[self.pad[0]:self.pad[0] + self.height, self.pad[1]:self.pad[1] + self.width] = plane
+        return out
+
+    def shifted(self, padded: np.ndarray, j: int) -> np.ndarray:
+        """Offset j's shifted depth plane, a view of the padded one."""
+        top, left = self.corners[j]
+        return padded[top:top + self.height, left:left + self.width]
+
+    def keep(self, shifted: np.ndarray) -> np.ndarray:
+        """(rows, cols) mask of the windows whose shifted depth has
+        population variance >= tau."""
+        windows = _window_view(shifted[:, :, None], self.p, self.s)
+        return windows[..., 0].var(axis=(2, 3)) >= self.tau
+
+    def keeps(self, plane: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
+        """Every offset's keep mask for an L plane, padded into out if given."""
+        padded = self.padded(plane, out)
+        return [self.keep(self.shifted(padded, j)) for j in range(len(self.corners))]
+
+
 def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
                fill: float, channels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The patch grid of one frame under one depth offset.
@@ -297,17 +334,12 @@ def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
     window view over the stacked channels and the (rows, cols) mask of
     windows whose shifted depth has population variance >= tau.
     """
-    check_grid_params(p, s, tau, fill)
-    patch_grid_shape(frame.height, frame.width, p, s)
-    if abs(offset.dx) >= frame.width or abs(offset.dy) >= frame.height:
-        raise ValueError(f"offset ({offset.dx},{offset.dy}) exceeds frame dims "
-                         f"{frame.width}x{frame.height}")
-    shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
+    shift = _DepthShift(frame.height, frame.width, [offset], p, s, tau, fill)
+    shifted = shift.shifted(shift.padded(frame.plane("L")), 0)
     stacked = np.empty((frame.height, frame.width, len(channels)), dtype=np.float32)
     for col, name in enumerate(channels):
         stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
-    keep = _window_view(shifted[:, :, None], p, s)[..., 0].var(axis=(2, 3)) >= tau
-    return _window_view(stacked, p, s), keep
+    return _window_view(stacked, p, s), shift.keep(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +452,100 @@ def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int
         raise ValueError("offset table is empty")
 
     def counts(frame: Frame) -> list[int]:
-        return [int(patch_grid(frame, offset, p, s, tau, fill, ("L",))[1].sum())
-                for offset in offsets]
+        shift = _DepthShift(frame.height, frame.width, offsets, p, s, tau, fill)
+        return [int(keep.sum()) for keep in shift.keeps(frame.plane("L"))]
 
     rows = list(bounded_map(counts, frames, worker_count()))
     return np.array(rows, dtype=np.int64).reshape(-1, len(offsets))
+
+
+class PatchTable:
+    """Every kept window of a frame sequence as a (frame, offset class
+    index, row, col) row over the frames' selected planes; table[idx]
+    gathers the rows idx selects as (..., p, p, C) float32 patches with
+    the bytes of patch_arrays(...)[0][idx].
+
+    Rows run in patch_arrays order: frames in index order, offset classes
+    in table order, windows row-major. One pass of the keep masks, a frame
+    per bounded_map(worker_count()) call, copies each frame's selected
+    planes into one buffer and finds its rows. L is kept padded, with
+    fill, by the largest |dy| and |dx| of the offsets, so each offset's
+    shifted depth plane is a window of it; that is at most 9 planes'
+    worth, since patch_grid refuses offsets at or beyond the frame size.
+    The table has the shape, ndim and dtype of the patch array, so
+    model.train takes it in place of one.
+
+    frames may be a stream of frame_count frames of one size, of which
+    bounded_map holds 2 * worker_count() at most.
+    """
+
+    def __init__(self, frames: Iterable[Frame], frame_count: int,
+                 offsets: Sequence[OffsetClass], p: int, s: int, tau: float, fill: float,
+                 channels: Sequence[str]):
+        if not offsets:
+            raise ValueError("offset table is empty")
+        if not channels:
+            raise ValueError("channel selection is empty")
+        frames = iter(frames)
+        first = next(frames, None)
+        if first is None or frame_count < 1:
+            raise ValueError("no frames to cut patches from")
+        h, w = first.height, first.width
+        frames = chain(iter([first]), frames)  # holds no frame once it is pulled
+        del first
+        shift = _DepthShift(h, w, offsets, p, s, tau, fill)
+        static = [name for name in channels if name != "L"]
+        depth_at = len(static) * h * w  # L's place in a frame's planes, if selected
+        hp, wp = shift.padded_shape
+        self._planes = np.empty((frame_count, depth_at + (hp * wp if "L" in channels else 0)),
+                                np.float32)
+
+        def take(item) -> np.ndarray:
+            index, frame = item
+            if (frame.height, frame.width) != (h, w):
+                raise ValueError(f"frame {index} is {frame.width}x{frame.height}, "
+                                 f"frame 0 {w}x{h}")
+            planes = self._planes[index]
+            for k, name in enumerate(static):
+                planes[k * h * w:(k + 1) * h * w].reshape(h, w)[...] = frame.plane(name)
+            depth = planes[depth_at:].reshape(hp, wp) if "L" in channels else None
+            found = [np.argwhere(keep) for keep in shift.keeps(frame.plane("L"), depth)]
+            counts = [len(cells) for cells in found]
+            rows = np.empty((sum(counts), 4), dtype=np.int64)
+            rows[:, 0] = index
+            rows[:, 1] = np.repeat(np.arange(len(found)), counts)
+            rows[:, 2:] = np.concatenate(found) * s
+            return rows
+
+        rows = list(bounded_map(take, zip(range(frame_count), frames), worker_count()))
+        if len(rows) != frame_count:
+            raise ValueError(f"{len(rows)} frames to cut patches from, not {frame_count}")
+        self.rows = np.concatenate(rows)
+        self.labels = np.array([offset.id for offset in offsets], dtype=np.int64)[self.rows[:, 1]]
+        self.shape = (len(self.rows), p, p, len(channels))
+        self.ndim, self.dtype = 4, self._planes.dtype
+        # A patch line is p consecutive values of one plane, so table[idx]
+        # takes one run of p values per line and channel: the run starting
+        # at frame * frame size + row * step + col + shift[offset class]
+        # + y * step, per channel of the selection
+        is_depth = np.array([name == "L" for name in channels])
+        self._step = np.where(is_depth, wp, w)
+        first_value = np.array([depth_at if name == "L" else static.index(name) * h * w
+                                for name in channels])
+        corner = np.array([top * wp + left for top, left in shift.corners])
+        self._shift = first_value + is_depth * corner[:, None]
+        self._line = np.arange(p)[:, None] * self._step
+        self._runs = np.lib.stride_tricks.sliding_window_view(self._planes.reshape(-1), p)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        frame, offset, row, col = np.moveaxis(self.rows[idx], -1, 0)
+        start = (frame[..., None] * self._planes.shape[1] + row[..., None] * self._step
+                 + col[..., None] + self._shift[offset])
+        lines = start[..., None, :] + self._line  # (..., p, C)
+        out = np.empty(lines.shape[:-2] + self.shape[1:], self.dtype)
+        for c in range(self.shape[3]):  # channels interleave in a patch
+            out[..., c] = self._runs[lines[..., c]]
+        return out
 
 
 def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
@@ -434,36 +555,16 @@ def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int
     offset class ids, frame indices and (n, 2) (row, col) origins.
 
     Rows run frames in index order, offset classes in table order, windows
-    row-major. patch_counts sizes the arrays; then, one frame per
-    bounded_map call, each (frame, offset) pair takes its patch_grid and
-    writes its windows[keep] into its own slice of them. So every keep
-    mask is computed twice, once to count and once to fill.
+    row-major: every row of the frames' PatchTable, gathered.
     """
     if not frames:
         raise ValueError("no frames to cut patches from")
     if channels is not None and not channels:
         raise ValueError("channel selection is empty")
     sel = list(channels if channels is not None else frames[0].channel_names)
-    counts = patch_counts(frames, offsets, p, s, tau, fill)
-    ends = np.cumsum(counts).reshape(counts.shape)
-    n = int(counts.sum())
-    x = np.empty((n, p, p, len(sel)), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    frame_index = np.empty(n, dtype=np.int64)
-    origins = np.empty((n, 2), dtype=np.int64)
-
-    def write(index: int) -> None:
-        for j, offset in enumerate(offsets):
-            windows, keep = patch_grid(frames[index], offset, p, s, tau, fill, sel)
-            rows = slice(ends[index, j] - counts[index, j], ends[index, j])
-            x[rows] = windows[keep]
-            labels[rows] = offset.id
-            frame_index[rows] = index
-            origins[rows] = np.argwhere(keep) * s
-
-    for _ in bounded_map(write, range(len(frames)), worker_count()):
-        pass
-    return x, labels, frame_index, origins
+    table = PatchTable(frames, len(frames), offsets, p, s, tau, fill, sel)
+    return (table[:], table.labels, np.ascontiguousarray(table.rows[:, 0]),
+            np.ascontiguousarray(table.rows[:, 2:]))
 
 
 def iter_patch_samples(frames: Iterable[Frame], offsets: list[OffsetClass], p: int, s: int,

@@ -205,7 +205,7 @@ def generate_sequence(config: SceneConfig) -> list[Frame]:
         ox = cam_x[t] - base_x
         oy = cam_y[t] - base_y
         bg = background[oy:oy + config.height, ox:ox + config.width]
-        planes = {name: bg.astype(np.float32).copy() for name in ("R", "G", "B")}
+        planes = {name: bg.astype(np.float32) for name in ("R", "G", "B")}
         planes["L"] = np.zeros((config.height, config.width), dtype=np.float32)
         for i in order:
             obj = objects[i]

@@ -242,12 +242,13 @@ def _flow_corpus(seed, count):
 
 def _train_and_evaluate(train_frames, test_frames, channels):
     offsets = generate_offsets(9, 32, 16, 45.0)
-    x, y, _, _ = pipeline.patch_arrays(train_frames, offsets, EXPERIMENT["patch"],
-                                       EXPERIMENT["stride"], tau=DEFAULT_TAU,
-                                       channels=channels)
+    # training gathers its batches from the table, as mmreg train does
+    table = pipeline.PatchTable(train_frames, len(train_frames), offsets, EXPERIMENT["patch"],
+                                EXPERIMENT["stride"], DEFAULT_TAU, pipeline.DEFAULT_FILL,
+                                channels)
     net = model.build_model(model.ModelConfig(channels=tuple(channels),
                                               seed=EXPERIMENT["model_seed"]))
-    net, history = model.train(net, x, y, model.TrainConfig(
+    net, history = model.train(net, table, table.labels, model.TrainConfig(
         epochs=EXPERIMENT["epochs"], seed=EXPERIMENT["model_seed"]))
     report = evaluation.evaluate_run(net, test_frames, offsets, k_values=[1, 2, 4],
                                      stride=EXPERIMENT["stride"], tau=DEFAULT_TAU)

@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import resource
@@ -6,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +155,21 @@ class TestFlow:
 
     def test_missing_dir_fails(self, tmp_path):
         assert run("flow", "--in-dir", tmp_path / "nope", "--out", tmp_path / "o") == 1
+
+
+class TestFrameStreams:
+    """A frame stream holds no frame once the next is pulled, so flow,
+    dataset, train and eval hold at most their pools' frames."""
+
+    @pytest.mark.parametrize("stream", ["read", "peek"])
+    def test_first_frame_freed_after_the_second_is_pulled(self, small_corpus, stream):
+        paths = sorted((small_corpus / "raw").glob("*.mmf"))
+        frames = (cli._read_frames(paths) if stream == "read"
+                  else cli._peek_frames(paths)[1])
+        first = weakref.ref(next(frames))
+        second = next(frames)
+        gc.collect()
+        assert first() is None and second.channel_names == ["R", "G", "B", "L"]
 
 
 class TestFlowWorkers:
@@ -738,15 +755,16 @@ class TestMemoryBackstop:
     def test_memory_error_is_one_error_line(self, tmp_path):
         # the address-space cap applies in the child process only
         def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+            resource.setrlimit(resource.RLIMIT_AS, (1_000_000_000, 1_000_000_000))
 
         src = Path(mmreg.__file__).resolve().parents[1]
         # one BLAS thread keeps OpenBLAS's own buffers small under the cap
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
         result = subprocess.run(
-            # under synth's 4 GiB cap on a sequence's planes; its 1 GB float32
-            # background fits under the address-space cap, its first frame not
+            # under synth's 4 GiB cap on a sequence's planes, but its 1.02 GB
+            # float32 background alone is over the address-space cap, so the
+            # first large allocation fails, before any texture is computed
             [sys.executable, "-m", "mmreg.cli", "synth", "--out", tmp_path / "o",
              "--width", "16000", "--height", "16000", "--frames", "1"],
             env=env, capture_output=True, text=True, timeout=120,

@@ -100,14 +100,23 @@ def test_every_definition_is_used_in_the_package():
 
 
 def test_only_patch_grid_shifts_depth():
-    """One patch grid: the depth plane is shifted by patch_grid alone."""
-    total = inside = 0
+    """One patch grid, one depth shift: of the package's top-level
+    statements, only pipeline._DepthShift, which shifts the depth plane,
+    and manifest_text, which writes offsets out, read a .dx or .dy.
+    And only the patch grid's users make a _DepthShift: patch_grid, the
+    keep masks of patch_counts and the PatchTable that training reads."""
+    readers, makers = set(), set()
     for path in MODULES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        total += sum(ref == "shift_plane" for ref in _references(tree))
-        inside += sum(ref == "shift_plane" for name, node in _definitions(tree)
-                      if name == "patch_grid" for ref in _references(node))
-    assert total == inside > 0
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            refs = set(_references(node))
+            name = getattr(node, "name", None)
+            if any(isinstance(sub, ast.Attribute) and sub.attr in ("dx", "dy")
+                   for sub in ast.walk(node)):
+                readers.add(name)
+            if "_DepthShift" in refs and name != "_DepthShift":
+                makers.add(name)
+    assert readers == {"_DepthShift", "manifest_text"}
+    assert makers == {"patch_grid", "patch_counts", "PatchTable"}
 
 
 def test_traced_names_exist():

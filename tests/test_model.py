@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mmreg import model, nn, pipeline
+from mmreg.offsets import OffsetClass
 from mmreg.pipeline import FormatError
 from helpers import (cast_network, central_diff_grad, max_rel_error, predict_batch_oracle,
                      traced_peak)
@@ -319,6 +320,24 @@ class TestTrainBlocks:
                 batch_size=25, epochs=2, learning_rate=0.05, seed=6))
             runs.append((b"".join(p.tobytes() for p in net.parameters()), history))
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_table_trains_as_its_patch_array(self, monkeypatch):
+        # training reads batches from a PatchTable or from the array of all
+        # its rows with the same bits, at every block count
+        rng = np.random.default_rng(15)
+        frames = [pipeline.Frame({name: rng.random((24, 40), dtype=np.float32)
+                                  for name in ("Gr", "L", "U")}) for _ in range(3)]
+        offsets = [OffsetClass(0, 0, 0), OffsetClass(1, 3, -2), OffsetClass(2, -5, 1)]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        config = model.TrainConfig(batch_size=25, epochs=2, learning_rate=0.05, seed=6)
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MMREG_THREADS", threads)
+            table = pipeline.PatchTable(iter(frames), 3, offsets, 8, 4, 0.01, 0.0, ["Gr", "L"])
+            for x in (table, table[:]):
+                net, history = model.train(model.build_model(TINY), x, table.labels, config)
+                runs.append((b"".join(p.tobytes() for p in net.parameters()), history))
+        assert len(table.labels) > 100 and runs == [runs[0]] * 6
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from mmreg.offsets import OffsetClass, generate_offsets
 from mmreg.pipeline import (DatasetManifest, FormatError, Frame, PatchSample,
                             build_dataset, extract_patches,
                             iter_patch_samples, patch_grid, read_frame, read_manifest,
-                            rgb_to_gray, shift_plane, write_frame, write_manifest)
+                            rgb_to_gray, write_frame, write_manifest)
 from mmreg.synth import SceneConfig, generate_sequence
 from helpers import traced_peak
 
@@ -390,6 +390,19 @@ class TestBuildDataset:
         np.testing.assert_array_equal(samples[0].data[:, :, 0], frame.plane("Gr")[:16, :16])
 
 
+def shift_plane(plane, dx, dy, fill):
+    """The depth shift before the padded L plane: translate a plane by
+    (dx right, dy down) into a new array; vacated pixels get fill."""
+    h, w = plane.shape
+    out = np.full_like(plane, fill)
+    src_rows = slice(max(-dy, 0), h - max(dy, 0))
+    dst_rows = slice(max(dy, 0), h + min(dy, 0))
+    src_cols = slice(max(-dx, 0), w - max(dx, 0))
+    dst_cols = slice(max(dx, 0), w + min(dx, 0))
+    out[dst_rows, dst_cols] = plane[src_rows, src_cols]
+    return out
+
+
 def _old_window_view(stacked, p, s):
     windows = np.lib.stride_tricks.sliding_window_view(stacked, (p, p), axis=(0, 1))
     return windows[::s, ::s].transpose(0, 1, 3, 4, 2)
@@ -501,6 +514,83 @@ class TestPatchGridOracle:
                                                    pipeline.DEFAULT_TAU, 0.5)
             assert keep.tobytes() == old_keep.tobytes()
             assert windows[keep].tobytes() == old_kept.tobytes()
+
+
+class TestPatchTable:
+    """PatchTable's rows and gather against the old shift_plane path."""
+    H, W = 20, 17
+
+    def frames(self):
+        rng = np.random.default_rng(23)
+        frames = []
+        for _ in range(3):
+            planes = {n: rng.random((self.H, self.W), dtype=np.float32)
+                      for n in pipeline.CHANNEL_IDS}
+            planes["L"][5:16, 3:12] = 0.4  # flat depth, so tau drops some windows
+            frames.append(Frame(planes))
+        return frames
+
+    def offsets(self):
+        h, w = self.H - 1, self.W - 1  # the largest shifts patch_grid takes
+        return [OffsetClass(i, dx, dy) for i, (dx, dy) in
+                enumerate([(0, 0), (w, -h), (-w, 0), (2, h), (-3, -1)])]
+
+    @pytest.mark.parametrize("sel", [["Gr", "L", "U", "V"], ["R", "G", "B", "L"],
+                                     ["R", "G", "B"], ["V", "L", "R"], ["L"]])
+    @pytest.mark.parametrize("p,s", [(6, 4), (17, 1), (5, 8)])  # 17: whole-width windows
+    def test_gather_same_bytes_as_old_path(self, monkeypatch, sel, p, s):
+        frames, offsets = self.frames(), self.offsets()
+        fill, tau = 0.5, pipeline.DEFAULT_TAU
+        old_x, labels, index, origins = [], [], [], []
+        for i, frame in enumerate(frames):
+            for offset in offsets:
+                kept, keep = old_frame_patches(frame, offset, sel, p, s, tau, fill)
+                old_x.append(kept)
+                labels += [offset.id] * len(kept)
+                index += [i] * len(kept)
+                origins.append(np.argwhere(keep) * s)
+        old_x = np.concatenate(old_x)
+        n = len(old_x)
+        monkeypatch.setenv("MMREG_THREADS", "2")
+        table = pipeline.PatchTable(iter(frames), len(frames), offsets, p, s, tau, fill, sel)
+        assert 0 < n < len(frames) * len(offsets) * len(extract_patches(frames[0], p, s))
+        assert (table.shape, table.ndim, table.dtype) == (old_x.shape, 4, np.float32)
+        assert table.labels.tolist() == labels and table.rows[:, 0].tolist() == index
+        assert table.rows[:, 2:].tolist() == np.concatenate(origins).tolist()
+        rng = np.random.default_rng(5)
+        for idx in np.array_split(rng.permutation(n), range(7, n, 7)):  # a shuffled epoch
+            assert table[idx].tobytes() == old_x[idx].tobytes()
+        for idx in (rng.integers(0, n, size=40), rng.integers(0, n, size=(3, 5)), n - 1,
+                    slice(None)):
+            got = table[idx]
+            assert got.shape == old_x[idx].shape and got.tobytes() == old_x[idx].tobytes()
+
+    def test_frames_of_one_size_and_count(self):
+        frames, offsets = self.frames(), self.offsets()[:2]
+        wide = Frame({n: np.zeros((self.H, self.W + 1), np.float32) for n in ("Gr", "L")})
+        with pytest.raises(ValueError, match="frame 1 is 18x20, frame 0 17x20"):
+            pipeline.PatchTable([frames[0], wide], 2, offsets, 6, 4, 0.0, 0.0, ["Gr", "L"])
+        with pytest.raises(ValueError, match="2 frames to cut patches from, not 3"):
+            pipeline.PatchTable(frames[:2], 3, offsets, 6, 4, 0.0, 0.0, ["Gr", "L"])
+
+    def test_build_peaks_near_the_planes_not_the_patches(self, monkeypatch):
+        # at stride 8 the 32x32 windows overlap: under 9 offsets the patches
+        # take over 80 times the bytes of the planes they are cut from
+        rng = np.random.default_rng(24)
+        frames = [Frame({n: rng.random((96, 160), dtype=np.float32)
+                         for n in ("Gr", "L", "U", "V")}) for _ in range(12)]
+        offsets = generate_offsets(9, 32, 16, 45.0)
+        monkeypatch.setenv("MMREG_THREADS", "2")
+        with traced_peak() as traced:
+            table = pipeline.PatchTable(iter(frames), len(frames), offsets, 32, 8, 0.0, 0.0,
+                                        ["Gr", "L", "U", "V"])
+        planes = table._planes.nbytes
+        patches = 4 * np.prod(table.shape)
+        assert planes < 6 * frames[0].plane("L").nbytes * len(frames)
+        assert patches > 80 * planes
+        # the rest is the row table, 32 bytes a patch, and the keep masks'
+        # variance temporaries
+        assert traced.peak < min(2 * planes, patches / 40)
 
 
 class TestBoundedMap:
