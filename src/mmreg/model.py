@@ -32,9 +32,18 @@ CONV_BLOCK = 8
 PREDICT_CHUNK = 512
 # ceilings, checked before allocating, on a network's float32 weights and
 # on the buffers of one training batch; the default network at batch 100
-# takes 0.4 MB and about 170 MB
+# takes 0.4 MB and 80 MB on one block, 96 MB on two
 MAX_WEIGHT_BYTES = 1 << 30
 MAX_BATCH_WORK_BYTES = 1 << 31
+# bytes of im2col rows per forward GEMM of a training block's stages 1
+# and 2: a block's patches go through in slices of as many as fit
+_FORWARD_SLICE_BYTES = 4 << 20
+
+
+def _slice_patches(patch_bytes: int) -> int:
+    """Patches per forward slice of stages 1 and 2 when one patch's im2col
+    rows take patch_bytes: as many as fit _FORWARD_SLICE_BYTES, at least one."""
+    return max(1, _FORWARD_SLICE_BYTES // patch_bytes)
 
 
 @dataclass
@@ -121,33 +130,53 @@ def _kernel_shapes(config: ModelConfig) -> list[tuple[int, int, int, int]]:
     return [(c_out, k, k, c_in) for c_in, c_out in zip(depths, config.filters)]
 
 
-def _stage_shapes(config: ModelConfig, sample_shape, capacity: int) -> list[tuple]:
-    """(im2col rows, conv output, pooled output) shapes of each conv stage
-    for capacity (h, w, c) samples."""
+def _work_shapes(config: ModelConfig, sample_shape, capacity: int, itemsize: int,
+                 blocks: int) -> tuple[tuple, list[tuple], list[tuple], tuple]:
+    """Shapes of _BatchWork's arrays for batches of up to capacity (h, w, c)
+    samples of itemsize-byte values in `blocks` blocks: stage 0's im2col
+    rows, every stage's conv output, every stage's pooled output, and the
+    (blocks, size) scratch rows.
+
+    A scratch row holds the im2col rows of a forward slice of a block or
+    a chunk of conv2d_backward's rebuilt rows at any batch up to
+    capacity: a smaller batch's chunk may hold more kernel rows, but
+    never more than k of them nor, unless it holds one, more than the
+    budget.
+    """
     h, w, _ = sample_shape
     k, pad = config.kernel_size, (config.kernel_size - 1) // 2
-    shapes = []
+    block = -(-capacity // blocks)
+    cols, zs, pooled, scratch = None, [], [], 0
     for c_out, _, _, c_in in _kernel_shapes(config):
         h, w = (nn._conv_out_size(side, k, pad) for side in (h, w))
-        shapes.append(((capacity, h * w, k * k * c_in), (capacity, h, w, c_out),
-                       (capacity, h // 2, w // 2, c_out)))
+        per_patch = h * w * k * k * c_in  # im2col elements of one patch
+        if cols is None:
+            cols = (capacity, h * w, k * k * c_in)
+        else:
+            row = capacity * per_patch // k  # one kernel row's rows at capacity
+            scratch = max(scratch, min(block, _slice_patches(per_patch * itemsize)) * per_patch,
+                          row * nn._kernel_rows_per_chunk(row * itemsize, k),
+                          min(k * row, nn._KERNEL_GRAD_CHUNK_BYTES // itemsize))
+        zs.append((capacity, h, w, c_out))
+        pooled.append((capacity, h // 2, w // 2, c_out))
         h, w = h // 2, w // 2
-    return shapes
+    return cols, zs, pooled, (blocks, scratch)
 
 
-def require_sizes(config: ModelConfig, batch: int = 0, itemsize: int = 4) -> None:
+def require_sizes(config: ModelConfig, batch: int = 0, itemsize: int = 4,
+                  blocks: int = 1) -> None:
     """Validate config, then refuse, before anything is allocated, a network
     whose float32 weights take over MAX_WEIGHT_BYTES, or whose training
-    buffers for batches of `batch` patches of itemsize-byte values take over
-    MAX_BATCH_WORK_BYTES."""
+    buffers (_BatchWork's) for batches of `batch` patches of itemsize-byte
+    values in `blocks` blocks take over MAX_BATCH_WORK_BYTES."""
     config.validate()
     weight_bytes = 4 * config.weight_count
     if weight_bytes > MAX_WEIGHT_BYTES:
         raise ValueError(f"the network's weights take {quoted_int(weight_bytes)} bytes, "
                          f"over the {MAX_WEIGHT_BYTES}-byte cap")
     sample_shape = (config.patch_size, config.patch_size, len(config.channels))
-    work_bytes = itemsize * sum(math.prod(shape) for stage in
-                                _stage_shapes(config, sample_shape, batch) for shape in stage)
+    cols, zs, pooled, scratch = _work_shapes(config, sample_shape, batch, itemsize, blocks)
+    work_bytes = itemsize * sum(map(math.prod, [cols, *zs, *pooled, scratch]))
     if work_bytes > MAX_BATCH_WORK_BYTES:
         raise ValueError(f"training buffers for batches of {batch} take {work_bytes} bytes, "
                          f"over the {MAX_BATCH_WORK_BYTES}-byte cap; lower the batch size")
@@ -181,25 +210,40 @@ def _conv_stages(net: Network, x: np.ndarray) -> np.ndarray:
 
 class _BatchWork:
     """Whole-batch buffers of the loss-and-gradient pass for up to capacity
-    (h, w, c) samples of one dtype, and the pool its patch blocks run on.
+    (h, w, c) samples, in the dtype of those samples and the network's
+    conv parameters, and the pool its patch blocks run on.
 
-    Per conv stage it holds the im2col rows, the conv output and the
-    pooled output. The forward applies relu over the conv output in
-    place, and the backward overwrites it with the gradient at the conv
-    output, so one buffer serves the conv output, its relu and its
-    gradient. Blocks write their rows of these in place.
+    It holds stage 0's im2col rows, every stage's conv output and pooled
+    output, and one scratch row per block. The forward applies relu over
+    the conv output in place, and the backward overwrites it with the
+    gradient at the conv output, so one buffer serves the conv output,
+    its relu and its gradient. Blocks write their rows of these in place.
+
+    Stages 1 and 2 keep no im2col rows: a block's forward lowers them a
+    slice of patches at a time into its scratch row, and their kernel
+    gradients rebuild them a chunk of kernel rows at a time into scratch
+    rows of their own (nn.conv2d_backward). Stage 0 keeps its rows: with
+    the default 4 input channels a rebuilt kernel row copies runs of only
+    20 values, and at batch 100 on one thread its kernel gradient took
+    25.8 ms rebuilt against 15.7 ms kept (conv1 35.7 against 32.1 ms,
+    conv2 10.9 either way). Rebuilding all three stages peaked about
+    35 MB lower but lost `train` throughput in 4 of 4 benchmark pairs,
+    by about 11 %.
     """
 
     def __init__(self, net: Network, sample_shape, capacity: int, dtype,
                  blocks: int = 1, pool: ThreadPoolExecutor | None = None):
-        self.blocks, self.pool = blocks, pool
-        self.cols, self.z, self.pooled = [], [], []
-        for layer, (cols, z, pooled) in zip(net.conv_layers,
-                                            _stage_shapes(net.config, sample_shape, capacity)):
-            self.cols.append(np.empty(cols, dtype))
-            dtype = np.result_type(dtype, layer.kernels, layer.biases)
-            self.z.append(np.empty(z, dtype))
-            self.pooled.append(np.empty(pooled, dtype))
+        # with one block every call runs on this thread, so the two
+        # rebuilt-stage kernel gradients can share a scratch row
+        self.blocks, self.pool = blocks, pool if blocks > 1 else None
+        dtype = np.result_type(dtype, *(p for layer in net.conv_layers
+                                        for p in (layer.kernels, layer.biases)))
+        cols, zs, pooled, scratch = _work_shapes(net.config, sample_shape, capacity,
+                                                 dtype.itemsize, blocks)
+        self.cols = np.empty(cols, dtype)
+        self.z = [np.empty(shape, dtype) for shape in zs]
+        self.pooled = [np.empty(shape, dtype) for shape in pooled]
+        self.scratch = np.empty(scratch, dtype)
 
     def bounds(self, n: int) -> list[tuple[int, int]]:
         """[start, stop) of each contiguous block of an n-sample batch."""
@@ -235,12 +279,18 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
     conv, relu and pool forward, then pool and relu backward and the
     input-gradient taps. Relu and the fused pool/relu backward run in
     place in work.z, the conv-output buffers: at the default net's batch
-    of 100, a call's own arrays peak near 15 MB. Each row of those
-    results has the same bits whatever block its sample is in. The dense layer, the loss and every
-    kernel and bias gradient are single whole-batch calls, so the result
-    does not depend on the block count. The three kernel-and-bias calls
-    are spread over work's threads, the heaviest on this one; only the
-    thread a call runs on changes, not its arrays or reduction order.
+    of 100, a call's own arrays peak near 15 MB (17 MB with input_grad).
+    Stages 1 and 2 run their forward GEMMs on slices of a block, of
+    _FORWARD_SLICE_BYTES of im2col rows each; a block is split only when
+    its rows exceed that, so small nets, whose GEMM rows can change bits
+    with the row count (see nn), run unsplit. The input-gradient taps
+    give each sample's rows the same bits in any block. The dense layer,
+    the loss and every kernel and bias gradient are single whole-batch
+    calls. So the result had the bits of a whole-batch pass at every
+    block count tested (tests/test_model.py TestBlockedBatch). The three
+    kernel-and-bias calls are spread over work's threads, the heaviest on
+    this one; only the thread a call runs on changes, not its arrays or
+    reduction order.
     """
     n = x.shape[0]
     if work is None:
@@ -249,16 +299,26 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
     inputs = [x, *work.pooled[:-1]]  # each conv stage's input rows
     bounds = work.bounds(n)
 
-    def forward(bound):
-        lo, hi = bound
+    def forward(block):
+        j, (lo, hi) = block
         winners = []
-        for layer, a, cols, z, pooled in zip(layers, inputs, work.cols, work.z, work.pooled):
-            conv = nn.conv2d_forward(a[lo:hi], layer, cols=cols[lo:hi], out=z[lo:hi])
-            pooled[lo:hi], idx = nn.maxpool2x2_forward(nn.relu_inplace(conv))
+        for i, (layer, a, z, pooled) in enumerate(zip(layers, inputs, work.z, work.pooled)):
+            if i == 0:
+                nn.conv2d_forward(a[lo:hi], layer, cols=work.cols[lo:hi], out=z[lo:hi])
+            else:
+                pixels, width = z.shape[1] * z.shape[2], layer.kernels[0].size
+                per = _slice_patches(pixels * width * z.itemsize)
+                for start in range(lo, hi, per):
+                    stop = min(start + per, hi)
+                    cols = work.scratch[j][:(stop - start) * pixels * width]
+                    nn.conv2d_forward(a[start:stop], layer,
+                                      cols=cols.reshape(stop - start, pixels, width),
+                                      out=z[start:stop])
+            pooled[lo:hi], idx = nn.maxpool2x2_forward(nn.relu_inplace(z[lo:hi]))
             winners.append(idx)
         return winners
 
-    winners = work.map(forward, bounds)
+    winners = work.map(forward, list(enumerate(bounds)))
     top = work.pooled[-1][:n]
     flat = top.reshape(n, -1)
     loss, _, d_logits = nn.softmax_xent(flat @ net.dense_weights.T, y)
@@ -279,13 +339,17 @@ def _batch_loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray,
     work.map(backward, zip(bounds, winners))
 
     def param_grads(i):
-        return nn.conv2d_backward(inputs[i][:n], layers[i], work.z[i][:n],
-                                  _cols=work.cols[i][:n], input_grad=False)[1]
+        if i == 0:
+            return nn.conv2d_backward(inputs[0][:n], layers[0], work.z[0][:n],
+                                      _cols=work.cols[:n], input_grad=False)[1]
+        # stages 1 and 2 take different scratch rows unless there is one block
+        return nn.conv2d_backward(inputs[i][:n], layers[i], work.z[i][:n], input_grad=False,
+                                  cols=work.scratch[(i - 1) % work.blocks])[1]
 
     # heaviest GEMM first, so that with two threads the calling thread takes
     # conv1 and the pool thread conv0 then conv2 (equal halves by default)
     order = sorted(range(len(layers)),
-                   key=lambda i: -work.cols[i][:n].size * layers[i].out_channels)
+                   key=lambda i: -work.z[i][:n].size * layers[i].kernels[0].size)
     conv_grads = [None] * len(layers)
     for i, grads in zip(order, work.map(param_grads, order)):
         conv_grads[i] = grads
@@ -332,12 +396,12 @@ def train(net: Network, x: np.ndarray, y: np.ndarray,
         raise ValueError(f"sample shape {x.shape[1:]} does not match model input {expected}")
 
     n = x.shape[0]
+    blocks = blas_workers()
     require_sizes(net.config, min(config.batch_size, n),
-                  np.result_type(x, *net.parameters()).itemsize)
+                  np.result_type(x, *net.parameters()).itemsize, blocks)
     rng = np.random.default_rng(config.seed)
     velocities = [np.zeros_like(p) for p in net.parameters()]
     history = []
-    blocks = blas_workers()
     with ThreadPoolExecutor(max_workers=blocks - 1) if blocks > 1 else nullcontext() as pool:
         work = _BatchWork(net, x.shape[1:], min(config.batch_size, n), x.dtype, blocks, pool)
         for _ in range(config.epochs):
@@ -368,9 +432,10 @@ def predict_batch(net: Network, patches: np.ndarray) -> tuple[np.ndarray, np.nda
     lowest class id.
 
     The conv stages run on CONV_BLOCK patches at a time, which keeps their
-    im2col rows small; each output row of a conv GEMM has the same bits
-    whatever the block size. The dense layer runs on whole chunks of up to
-    PREDICT_CHUNK patches.
+    im2col rows small. For the default network that gives the bits of a
+    whole-chunk forward; for small nets it may not, as their GEMM rows
+    round otherwise with the row count (see nn). The dense layer runs on
+    whole chunks of up to PREDICT_CHUNK patches.
     """
     if patches.ndim != 4:
         raise ValueError(f"expected (n, p, p, C) patches, got shape {patches.shape}")

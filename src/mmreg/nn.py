@@ -9,8 +9,11 @@ out= buffers a caller passes them; and relu_inplace and
 maxpool2x2_relu_backward write over the conv output they are given, so
 that the training pass keeps no second copy of it.
 
-conv2d_forward is one GEMM of every patch's im2col rows, whatever the
-batch size: each output row has the same bits in any batch. maxpool2x2
+conv2d_forward is one GEMM of every patch's im2col rows. An output row's
+bits can depend on the GEMM's row count: OpenBLAS's small-matrix path
+(about M*N*K <= 1e6) rounds otherwise. The default network's rows had the
+same bits in any batch; those of small nets, such as a k=3 net with 8
+filters, did not in batches of 9 or more patches against 8. maxpool2x2
 pools without the winner indices that maxpool2x2_forward adds for the
 backward pass, so inference does not compute them. Training runs the
 pool and relu backward as one op, maxpool2x2_relu_backward; the pair
@@ -26,6 +29,9 @@ import numpy as np
 Array = np.ndarray
 # normals per he_init draw: 512 KiB of float64
 HE_INIT_CHUNK = 1 << 16
+# bytes of rebuilt im2col rows per GEMM of conv2d_backward's kernel
+# gradient, when the forward's rows are not passed
+_KERNEL_GRAD_CHUNK_BYTES = 8 << 20
 
 
 def _require(condition: bool, message: str) -> None:
@@ -128,12 +134,14 @@ def _im2col(padded: Array, k: int, out_h: int, out_w: int,
     written into out (a C-contiguous array of that shape) when given.
 
     Row element order is (ki, kj, c), matching kernels.reshape(K, -1).
+    The window is Hp - out_h + 1 rows high, so padded[:, r0:r1 + out_h - 1]
+    lowers only kernel rows r0..r1-1: (B, out_h*out_w, (r1-r0)*k*C).
     """
-    b, _, _, c = padded.shape
-    view = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
-    view = view.transpose(0, 1, 2, 4, 5, 3)  # (B, out_h, out_w, k, k, C)
+    b, h, _, c = padded.shape
+    view = np.lib.stride_tricks.sliding_window_view(padded, (h - out_h + 1, k), axis=(1, 2))
+    view = view.transpose(0, 1, 2, 4, 5, 3)  # (B, out_h, out_w, rows, k, C)
     if out is None:
-        return np.ascontiguousarray(view).reshape(b, out_h * out_w, k * k * c)
+        return np.ascontiguousarray(view).reshape(b, out_h * out_w, -1)
     out.reshape(view.shape)[...] = view
     return out
 
@@ -164,8 +172,9 @@ def conv2d_forward(x: Array, params: ConvParams, cols: Array | None = None,
     """Cross-correlate (B,H,W,Cin) with kernels -> (B,H',W',K).
 
     Output H' = H + 2*pad - k + 1, and likewise W'.
-    Fast path lowers patches to a matrix product; equivalence with the
-    naive loop is covered by conv2d_forward_reference. Callers may pass
+    Fast path lowers patches to one matrix product, whose rows' bits may
+    depend on the batch size (see the module docstring); equivalence with
+    the naive loop is covered by conv2d_forward_reference. Callers may pass
     C-contiguous buffers to fill: cols (B, H'*W', k*k*Cin) for the im2col
     rows and out (B, H', W', K) for the result, which is then returned.
     """
@@ -208,9 +217,41 @@ def conv2d_forward_reference(x: Array, params: ConvParams) -> Array:
     return out
 
 
+def _kernel_rows_per_chunk(row_bytes: int, k: int) -> int:
+    """Kernel rows per GEMM of conv2d_backward's rebuilt kernel gradient,
+    when one kernel row's im2col rows take row_bytes: as many as fit
+    _KERNEL_GRAD_CHUNK_BYTES, at least one and at most k."""
+    return max(1, min(k, _KERNEL_GRAD_CHUNK_BYTES // max(row_bytes, 1)))
+
+
+def _kernel_grad(padded: Array, k: int, out_h: int, out_w: int, u_mat: Array,
+                 cols: Array | None) -> Array:
+    """(k*k*C, K) kernel gradient: tensordot of padded's im2col rows with
+    u_mat (B, out_h*out_w, K) over both leading axes, as one GEMM per
+    chunk of kernel rows. Each chunk's rows are rebuilt into the flat
+    buffer cols, or into a new one when cols is None."""
+    b, _, _, c = padded.shape
+    row = b * out_h * out_w * k * c  # im2col elements of one kernel row
+    per = _kernel_rows_per_chunk(row * padded.itemsize, k)
+    if cols is None:
+        cols = np.empty(per * row, padded.dtype)
+    _require(cols.ndim == 1 and cols.size >= per * row,
+             f"cols must be flat with at least {per * row} elements, got shape {cols.shape}")
+    u_flat = u_mat.reshape(-1, u_mat.shape[-1])
+    dw_mat = np.empty((k * k * c, u_flat.shape[1]), np.result_type(padded, u_mat))
+    for r0 in range(0, k, per):
+        r1 = min(r0 + per, k)
+        chunk = _im2col(padded[:, r0:r1 + out_h - 1], k, out_h, out_w,
+                        out=cols[:(r1 - r0) * row].reshape(b, out_h * out_w, -1))
+        # the call tensordot makes: the transposed rows times u, one GEMM
+        np.dot(chunk.reshape(-1, chunk.shape[-1]).T, u_flat, out=dw_mat[r0 * k * c:r1 * k * c])
+    return dw_mat
+
+
 def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
                     _cols: Array | None = None, input_grad: bool = True,
-                    param_grads: bool = True) -> tuple[Array | None, ConvGrads | None]:
+                    param_grads: bool = True,
+                    cols: Array | None = None) -> tuple[Array | None, ConvGrads | None]:
     """Gradients of a scalar loss through conv2d_forward.
 
     upstream must have the forward output shape. Returns (input grad,
@@ -218,6 +259,13 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
     fixed order. With input_grad=False the input grad is not computed and
     None is returned in its place; likewise the parameter grads with
     param_grads=False. _cols may hold the forward's im2col rows.
+    Without them the kernel gradient rebuilds the rows a chunk of kernel
+    rows at a time, each chunk as large as fits _KERNEL_GRAD_CHUNK_BYTES,
+    into cols (a flat buffer) when given. A chunk of fewer kernel rows is
+    a GEMM of fewer rows, so it too may round otherwise on OpenBLAS's
+    small-matrix path; the chunks gave the bits of the one GEMM over
+    _cols at every stage of the default net and of a small k=3 net, in
+    float32 and float64, at batches of 1 to 100 (tests/test_nn.py).
     Each input-grad row depends only on its own sample's upstream rows, so
     it has the same bits whichever batch the sample is in.
     """
@@ -231,8 +279,9 @@ def conv2d_backward(x: Array, params: ConvParams, upstream: Array,
     grads = None
     if param_grads:
         if _cols is None:
-            _cols = _im2col(_pad_input(x, pad), k, out_h, out_w)
-        dw_mat = np.tensordot(_cols, u_mat, axes=([0, 1], [0, 1]))  # (k*k*Cin, K)
+            dw_mat = _kernel_grad(_pad_input(x, pad), k, out_h, out_w, u_mat, cols)
+        else:
+            dw_mat = np.tensordot(_cols, u_mat, axes=([0, 1], [0, 1]))  # (k*k*Cin, K)
         grads = ConvGrads(kernels=dw_mat.T.reshape(params.kernels.shape),
                           biases=u_mat.sum(axis=(0, 1)))
     if not input_grad:

@@ -41,6 +41,9 @@ DEFAULT_FILL = 0.0
 # largest key=value file (manifest, --config, checkpoint config block) read
 # or written; room for over 200,000 frame entries with 255-byte names
 KEY_VALUE_MAX_BYTES = 64 << 20
+# bytes of window copies the variance filter makes at once: whole rows of
+# windows, at least one; 800x256 frames at stride 32 take one block
+_KEEP_BLOCK_BYTES = 4 << 20
 
 
 class FormatError(ValueError):
@@ -316,8 +319,15 @@ class _DepthShift:
     def keep(self, shifted: np.ndarray) -> np.ndarray:
         """(rows, cols) mask of the windows whose shifted depth has
         population variance >= tau."""
-        windows = _window_view(shifted[:, :, None], self.p, self.s)
-        return windows[..., 0].var(axis=(2, 3)) >= self.tau
+        windows = _window_view(shifted[:, :, None], self.p, self.s)[..., 0]
+        rows, cols = windows.shape[:2]
+        # var copies every window it reduces; the variances, and so the
+        # mask, have the same bits in blocks of window rows
+        step = max(1, _KEEP_BLOCK_BYTES // (cols * self.p * self.p * windows.itemsize))
+        keep = np.empty((rows, cols), dtype=bool)
+        for top in range(0, rows, step):
+            keep[top:top + step] = windows[top:top + step].var(axis=(2, 3)) >= self.tau
+        return keep
 
     def keeps(self, plane: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
         """Every offset's keep mask for an L plane, padded into out if given."""
@@ -347,9 +357,17 @@ def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
 # here: worker_count() threads, or blas_workers() if its items run BLAS
 # ---------------------------------------------------------------------------
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (taskset and cpusets shrink it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
     """Threads of a pool with no BLAS work, from MMREG_THREADS; 0 or unset
-    means one per CPU, at most 8."""
+    means one per CPU this process may run on, at most 8."""
     raw = os.environ.get("MMREG_THREADS", "0").strip() or "0"
     try:
         n = int(raw)
@@ -358,19 +376,19 @@ def worker_count() -> int:
     if n < 0:
         raise ValueError(f"MMREG_THREADS must be >= 0, got {n}")
     if n == 0:
-        return min(os.cpu_count() or 1, 8)
+        return min(_cpu_count(), 8)
     return n
 
 
 def blas_threads() -> int:
     """Threads OpenBLAS runs a matrix product on: OPENBLAS_NUM_THREADS,
-    else OMP_NUM_THREADS, else one per CPU (its default). A value that is
-    not a positive integer counts as unset."""
+    else OMP_NUM_THREADS, else one per CPU this process may run on (its
+    default). A value that is not a positive integer counts as unset."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         raw = os.environ.get(name, "").strip()
         if raw.isdecimal() and int(raw) > 0:
             return int(raw)
-    return os.cpu_count() or 1
+    return _cpu_count()
 
 
 def blas_workers() -> int:

@@ -59,6 +59,15 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match="MMREG_THREADS"):
             pipeline.worker_count()
 
+    def test_counts_only_cpus_the_process_may_use(self, monkeypatch):
+        # eight CPUs, of which taskset or a cpuset leaves this process one
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        for name in ("MMREG_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        assert pipeline.worker_count() == 1
+        assert pipeline.blas_threads() == 1
+
 
 class TestSynth:
     def test_deterministic_tree(self, tmp_path):
@@ -666,9 +675,9 @@ SIZE_CASES = {
                 rf"weights take \d+ bytes, over the {model.MAX_WEIGHT_BYTES}-byte cap"),
     "kernel": (("--kernel", 10001),
                rf"weights take \d+ bytes, over the {model.MAX_WEIGHT_BYTES}-byte cap"),
-    # the im2col rows alone would take 5.5 GB
-    "kernel-batch": (("--kernel", 31, "--batch", 100),
-                     rf"batches of 100 take 55\d{{8}} bytes, over the "
+    # stage 0's im2col rows alone would take 2.75 GB
+    "kernel-batch": (("--kernel", 41, "--batch", 100),
+                     rf"batches of 100 take 29\d{{8}} bytes, over the "
                      rf"{model.MAX_BATCH_WORK_BYTES}-byte cap"),
 }
 

@@ -282,7 +282,7 @@ class TestEvaluateRun:
             return real(the_net, patches)
 
         monkeypatch.setattr(evaluation, "predict_batch", recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for name in ("MMREG_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         reports = {}

@@ -148,13 +148,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="labels outside"):
             model.train(net, x, np.array([0, 1, 2, 3]), model.TrainConfig())
 
-    def test_batch_buffer_cap_refused_before_allocating(self):
-        # kernel 31 at batch 100: the im2col rows alone would take 5.5 GB
-        net = model.build_model(model.ModelConfig(kernel_size=31))
+    def test_batch_buffer_cap_refused_before_allocating(self, monkeypatch):
+        # kernel 41 at batch 100 in one block: stage 0's im2col rows alone
+        # would take 2.75 GB
+        monkeypatch.setenv("MMREG_THREADS", "1")
+        net = model.build_model(model.ModelConfig(kernel_size=41))
         x = np.zeros((100, 32, 32, 4), dtype=np.float32)
         y = np.zeros(100, dtype=np.int64)
         with traced_peak() as traced, \
-                pytest.raises(ValueError, match=r"batches of 100 take 55\d{8} bytes, over the "
+                pytest.raises(ValueError, match=r"batches of 100 take 29\d{8} bytes, over the "
                               f"{model.MAX_BATCH_WORK_BYTES}-byte cap"):
             model.train(net, x, y, model.TrainConfig(batch_size=100, epochs=1))
         assert traced.peak < 1 << 20
@@ -256,7 +258,7 @@ class TestBlockedBatch:
         rng = np.random.default_rng(17)
         side, depth = config.patch_size, len(config.channels)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            for n in (1, 2, 3, 35, 100):
+            for n in (1, 2, 3, 35, 62, 100):
                 x = rng.random((n, side, side, depth)).astype(dtype)
                 y = rng.integers(0, config.n_classes, size=n)
                 want = loss_and_grad_bytes(batch_loss_and_grads_single_pass(net, x, y,
@@ -287,6 +289,40 @@ class TestBlockedBatch:
         assert traced.peak < 20_000_000, traced.peak
 
 
+def work_arrays(work):
+    """Every array a _BatchWork holds."""
+    return [a for value in vars(work).values()
+            for a in (value if isinstance(value, list) else [value]) if isinstance(a, np.ndarray)]
+
+
+class TestBatchWorkSize:
+    @pytest.mark.parametrize("config", [model.ModelConfig(seed=5), SMALL_K3, TINY],
+                             ids=["default", "k3", "tiny"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("capacity,blocks", [(1, 1), (62, 2), (100, 1), (100, 3)])
+    def test_cap_counts_what_is_allocated(self, monkeypatch, config, dtype, capacity, blocks):
+        net = cast_network(model.build_model(config), dtype)
+        sample = (config.patch_size, config.patch_size, len(config.channels))
+        work = model._BatchWork(net, sample, capacity, dtype, blocks)
+        nbytes = sum(a.nbytes for a in work_arrays(work))
+        itemsize = np.dtype(dtype).itemsize
+        monkeypatch.setattr(model, "MAX_BATCH_WORK_BYTES", nbytes)
+        model.require_sizes(config, capacity, itemsize, blocks)  # at the cap: accepted
+        monkeypatch.setattr(model, "MAX_BATCH_WORK_BYTES", nbytes - 1)
+        with pytest.raises(ValueError, match=f"batches of {capacity} take {nbytes} bytes"):
+            model.require_sizes(config, capacity, itemsize, blocks)
+
+    @pytest.mark.parametrize("blocks,expected", [(1, 79_872_000), (2, 96_256_000)])
+    def test_default_net_at_batch_100(self, blocks, expected):
+        # stage 0's im2col rows (41 MB), the conv and pooled outputs (23 MB)
+        # and a 16.4 MB scratch row per block, which holds one kernel row
+        # of conv1's rebuilt im2col rows at batch 100
+        work = model._BatchWork(model.build_model(model.ModelConfig()), (32, 32, 4), 100,
+                                np.float32, blocks)
+        nbytes = sum(a.nbytes for a in work_arrays(work))
+        assert nbytes == expected and nbytes < 100_000_000
+
+
 class TestTrainBlocks:
     @pytest.mark.parametrize("env,blocks", [
         ({}, 1),                                              # OpenBLAS default: every CPU
@@ -300,7 +336,7 @@ class TestTrainBlocks:
         ({"MMREG_THREADS": "2", "OPENBLAS_NUM_THREADS": "8"}, 1),
     ])
     def test_rule(self, monkeypatch, env, blocks):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         for name in ("MMREG_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():

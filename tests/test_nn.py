@@ -168,6 +168,50 @@ class TestConvBackward:
         np.testing.assert_allclose(grads.kernels, k_sum, atol=1e-10)
 
 
+# (input side, Cin, K) of each conv stage, and the kernel size, of the
+# default network and of test_model's SMALL_K3
+NET_STAGES = {"default": ([(32, 4, 32), (16, 32, 32), (8, 32, 64)], 5),
+              "k3": ([(16, 3, 4), (8, 4, 6), (4, 6, 8)], 3)}
+
+
+class TestKernelGradChunks:
+    """The kernel gradient from kernel-row chunks of rebuilt im2col rows,
+    against the one tensordot over every row that it replaced."""
+
+    @pytest.mark.parametrize("net", list(NET_STAGES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_one_tensordot(self, net, dtype):
+        stages, k = NET_STAGES[net]
+        for stage, (side, c_in, k_count) in enumerate(stages):
+            params = make_conv(60 + stage, k_count, k, c_in, padding=k // 2, dtype=dtype)
+            for n in (1, 2, 3, 10, 11, 20, 21, 35, 62, 100):
+                rng = np.random.default_rng(n)
+                x = rng.random((n, side, side, c_in)).astype(dtype)
+                u = rng.standard_normal((n, side, side, k_count)).astype(dtype)
+                _, grads = nn.conv2d_backward(x, params, u, input_grad=False)
+                cols = nn._im2col(nn._pad_input(x, k // 2), k, side, side)
+                want = np.tensordot(cols, u.reshape(n, side * side, k_count),
+                                    axes=([0, 1], [0, 1]))
+                assert grads.kernels.tobytes() == want.T.reshape(params.kernels.shape).tobytes(), \
+                    (stage, n)
+
+    def test_chunks_into_the_given_buffer(self, monkeypatch):
+        # a budget of two kernel rows splits k=5 into chunks of 2, 2 and 1
+        rng = np.random.default_rng(70)
+        x = rng.random((3, 8, 8, 2), dtype=np.float32)
+        u = rng.standard_normal((3, 8, 8, 4)).astype(np.float32)
+        params = make_conv(71, 4, 5, 2, padding=2)
+        _, whole = nn.conv2d_backward(x, params, u, input_grad=False)
+        row = 3 * 8 * 8 * 5 * 2  # im2col elements of one kernel row
+        monkeypatch.setattr(nn, "_KERNEL_GRAD_CHUNK_BYTES", 2 * row * 4)
+        cols = np.full(2 * row, np.nan, dtype=np.float32)
+        _, chunked = nn.conv2d_backward(x, params, u, input_grad=False, cols=cols)
+        assert chunked.kernels.tobytes() == whole.kernels.tobytes()
+        assert not np.isnan(cols).any()  # the chunks were built there
+        with pytest.raises(ValueError, match=f"at least {2 * row} elements"):
+            nn.conv2d_backward(x, params, u, input_grad=False, cols=cols[1:])
+
+
 class TestBatchOnly:
     @pytest.mark.parametrize("op", ["conv2d_forward", "conv2d_backward",
                                     "maxpool2x2_forward", "maxpool2x2_backward",

@@ -323,6 +323,33 @@ class TestVarianceKeep:
     def test_tau_zero_keeps_everything(self):
         assert depth_keep(np.zeros((4, 4)), tau=0.0).all()
 
+    @pytest.mark.parametrize("stride,block_bytes", [(4, None), (3, 1), (32, None)])
+    def test_row_blocks_match_whole_view(self, monkeypatch, stride, block_bytes):
+        # the variance of every window over one view is the oracle: with
+        # tau at some of those variances, a window whose variance had other
+        # bits in a block would flip; stride 4 takes 12 blocks, and
+        # block_bytes 1 makes each row of windows a block
+        if block_bytes is not None:
+            monkeypatch.setattr(pipeline, "_KEEP_BLOCK_BYTES", block_bytes)
+        plane = np.random.default_rng(25).random((256, 800), dtype=np.float32)
+        shift = pipeline._DepthShift(256, 800, [OffsetClass(0, 0, 0)], 32, stride, 0.0, 0.0)
+        variances = pipeline._window_view(plane[:, :, None], 32, stride)[..., 0].var(axis=(2, 3))
+        ordered = np.sort(variances, axis=None)
+        for tau in ordered[[0, ordered.size // 3, ordered.size // 2, -1]]:
+            shift.tau = tau
+            assert shift.keep(plane).tobytes() == (variances >= tau).tobytes()
+
+    def test_stride_2_peaks_in_blocks(self, monkeypatch):
+        # one 800x256 frame under one offset: the variances over a single
+        # view of its 43,505 windows took 171 MB
+        frame = Frame({"L": np.random.default_rng(26).random((256, 800), dtype=np.float32)})
+        monkeypatch.setenv("MMREG_THREADS", "1")
+        with traced_peak() as traced:
+            counts = pipeline.patch_counts([frame], [OffsetClass(0, 3, -2)], 32, 2,
+                                           pipeline.DEFAULT_TAU)
+        assert counts.shape == (1, 1)
+        assert traced.peak < 16 << 20, traced.peak
+
 
 class TestBuildDataset:
     def make_frame(self, rng, height=256, width=800):
