@@ -284,10 +284,10 @@ def cmd_eval(args) -> int:
     if net.config.patch_size != manifest.patch_size:
         raise ValueError(f"manifest patch size {manifest.patch_size} differs from "
                          f"checkpoint patch size {net.config.patch_size}")
-    frames = list(_read_frames(_manifest_frame_paths(manifest_path, manifest, args.frames)))
+    paths = _manifest_frame_paths(manifest_path, manifest, args.frames)
 
-    report = evaluation.evaluate_run(net, frames, manifest.offsets, k_values,
-                                     stride=manifest.stride, tau=manifest.tau,
+    report = evaluation.evaluate_run(net, _read_frames(paths), len(paths), manifest.offsets,
+                                     k_values, stride=manifest.stride, tau=manifest.tau,
                                      fill=manifest.fill)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

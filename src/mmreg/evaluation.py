@@ -4,9 +4,10 @@ frame sets, and report artifacts (CSV tables + PPM images).
 A confusion matrix is a plain (N, N) int64 count array: rows are true
 classes, columns predicted classes.
 
-An evaluation run counts patch votes in one votes[offset, frame, class]
-array, and every report number is a reduction of it; a frame decision is a
-one-frame window of the one fusion rule, temporal_fuse.
+An evaluation run cuts its frames into the pipeline.PatchTable that
+training reads and counts patch votes in one votes[offset, frame, class]
+array; every report number is a reduction of it, and a frame decision is
+a one-frame window of the one fusion rule, temporal_fuse.
 
 The headline metric is the mean of the row-normalized confusion-matrix
 diagonal (macro-averaged per-class recall); raw accuracy is reported
@@ -18,14 +19,15 @@ from __future__ import annotations
 import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import Network, predict_batch, require_channels
 from .offsets import OffsetClass
-from .pipeline import Frame, blas_workers, bounded_map, patch_grid
+from .pipeline import Frame, PatchTable, blas_workers, bounded_map, patch_grid_shape
 
 # 9 maximally distinct class colors (rgb), indexed by class id modulo 9;
 # cells dropped by the variance filter render dark gray.
@@ -117,11 +119,15 @@ def _decision_cm(decisions: np.ndarray) -> np.ndarray:
     return np.bincount(pairs, minlength=n_classes ** 2).reshape(n_classes, n_classes)
 
 
-def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[OffsetClass],
-                 k_values: Sequence[int], stride: int, tau: float,
-                 fill: float = 0.0) -> EvalReport:
+def evaluate_run(net: Network, frames: Iterable[Frame], frame_count: int,
+                 offsets: Sequence[OffsetClass], k_values: Sequence[int], stride: int,
+                 tau: float, fill: float = 0.0) -> EvalReport:
     """Classify every surviving patch of every frame under every offset and
     count the votes in votes[offset, frame, class].
+
+    frames may be a stream of exactly frame_count frames of one size; they
+    are cut into one PatchTable, which keeps their selected planes and no
+    frame, and each (offset, frame) pair classifies one run of its rows.
 
     Every report number is a reduction of that array: the patch matrix sums
     it over frames, the image matrix and the no-decision count come from
@@ -136,8 +142,7 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
     filtered out count as no-decision and stay out of the confusion
     matrices.
     """
-    frames = list(frames)
-    if not frames:
+    if frame_count < 1:
         raise ValueError("no frames to evaluate")
     n_classes = net.config.n_classes
     offset_ids = [offset.id for offset in offsets]
@@ -145,30 +150,39 @@ def evaluate_run(net: Network, frames: Sequence[Frame], offsets: Sequence[Offset
         raise ValueError(f"offset table ids {offset_ids} must be 0..{n_classes - 1} in order, "
                          f"one per class the model predicts")
     for k in k_values:
-        if not 1 <= k <= len(frames):
-            raise ValueError(f"temporal window {k} outside [1, {len(frames)}] frames")
-    require_channels(net.config.channels, frames[0].channel_names)
+        if not 1 <= k <= frame_count:
+            raise ValueError(f"temporal window {k} outside [1, {frame_count}] frames")
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
+        raise ValueError("no frames to evaluate")
+    require_channels(net.config.channels, first.channel_names)
+    size = first.height, first.width
+    frames = chain(iter([first]), frames)  # holds no frame once it is pulled
+    del first
 
     p = net.config.patch_size
-    votes = np.zeros((n_classes, len(frames), n_classes), dtype=np.int64)  # [offset, frame, class]
+    table = PatchTable(frames, frame_count, offsets, p, stride, tau, fill, net.config.channels)
+    # rows run by frame, then offset class: pair (offset j, frame i) is run i * n_classes + j
+    bounds = np.searchsorted(table.rows[:, 0] * n_classes + table.rows[:, 1],
+                             np.arange(frame_count * n_classes + 1))
+    runs = {(j, i): slice(bounds[i * n_classes + j], bounds[i * n_classes + j + 1])
+            for j in range(n_classes) for i in range(frame_count)}
+    votes = np.zeros((n_classes, frame_count, n_classes), dtype=np.int64)  # [offset, frame, class]
     patch_maps: dict[int, np.ndarray] = {}
 
-    def classify(pair):
-        offset, frame_index = pair
-        windows, keep = patch_grid(frames[frame_index], offset, p, stride, tau, fill,
-                                   net.config.channels)
-        return keep, predict_batch(net, windows[keep])[0]
+    def classify(run: slice) -> np.ndarray:
+        return predict_batch(net, table[run])[0]
 
     # (offset, frame) pairs are independent; results come back in pair
     # order, and closing joins the pool's threads when the loop raises
-    pairs = [(offset, i) for offset in offsets for i in range(len(frames))]
-    with closing(bounded_map(classify, pairs, blas_workers())) as results:
-        for (offset, frame_index), (keep, ids) in zip(pairs, results):
-            votes[offset.id, frame_index] = vote_frame(ids, n_classes)
-            if frame_index == 0:
-                grid = np.full(keep.shape, -1, dtype=np.int64)
-                grid[keep] = ids
-                patch_maps[offset.id] = grid
+    with closing(bounded_map(classify, runs.values(), blas_workers())) as results:
+        for ((j, i), run), ids in zip(runs.items(), results):
+            votes[j, i] = vote_frame(ids, n_classes)
+            if i == 0:
+                grid = np.full(patch_grid_shape(*size, p, stride), -1, dtype=np.int64)
+                grid[tuple((table.rows[run, 2:] // stride).T)] = ids
+                patch_maps[j] = grid
 
     frame_decisions = temporal_fuse(votes, 1)
     temporal = {k: mean_diagonal_accuracy(_decision_cm(temporal_fuse(votes, k)))

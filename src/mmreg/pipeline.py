@@ -282,7 +282,7 @@ def extract_patches(frame: Frame, p: int, s: int,
 
 class _DepthShift:
     """The patch grid's one depth shift, for frames of one size under a
-    table of offsets; the constructor makes patch_grid's checks.
+    table of offsets; the constructor makes the patch grid's checks.
 
     L is padded once, with fill, by the table's largest |dy| rows and |dx|
     columns on every side. The plane shifted by an offset (dx right, dy
@@ -333,23 +333,6 @@ class _DepthShift:
         """Every offset's keep mask for an L plane, padded into out if given."""
         padded = self.padded(plane, out)
         return [self.keep(self.shifted(padded, j)) for j in range(len(self.corners))]
-
-
-def patch_grid(frame: Frame, offset: OffsetClass, p: int, s: int, tau: float,
-               fill: float, channels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The patch grid of one frame under one depth offset.
-
-    Only the L plane is translated by the offset, vacated pixels getting
-    fill; the other planes stay put. Returns the (rows, cols, p, p, C)
-    window view over the stacked channels and the (rows, cols) mask of
-    windows whose shifted depth has population variance >= tau.
-    """
-    shift = _DepthShift(frame.height, frame.width, [offset], p, s, tau, fill)
-    shifted = shift.shifted(shift.padded(frame.plane("L")), 0)
-    stacked = np.empty((frame.height, frame.width, len(channels)), dtype=np.float32)
-    for col, name in enumerate(channels):
-        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
-    return _window_view(stacked, p, s), shift.keep(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +444,7 @@ class DatasetManifest:
 def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
                  tau: float, fill: float = DEFAULT_FILL) -> np.ndarray:
     """Kept-window count of every (frame, offset class) pair, the sum of
-    patch_grid's keep mask, as a (frames, offsets) int64 array.
+    its keep mask, as a (frames, offsets) int64 array.
 
     One frame per bounded_map call; frames may be a stream, of which
     bounded_map holds 2 * worker_count() at most.
@@ -489,12 +472,13 @@ class PatchTable:
     planes into one buffer and finds its rows. L is kept padded, with
     fill, by the largest |dy| and |dx| of the offsets, so each offset's
     shifted depth plane is a window of it; that is at most 9 planes'
-    worth, since patch_grid refuses offsets at or beyond the frame size.
+    worth, since _DepthShift refuses offsets at or beyond the frame size.
     The table has the shape, ndim and dtype of the patch array, so
-    model.train takes it in place of one.
+    model.train takes it in place of one; evaluate_run classifies its
+    (frame, offset class) runs of rows.
 
-    frames may be a stream of frame_count frames of one size, of which
-    bounded_map holds 2 * worker_count() at most.
+    frames may be a stream of exactly frame_count frames of one size, of
+    which bounded_map holds 2 * worker_count() at most.
     """
 
     def __init__(self, frames: Iterable[Frame], frame_count: int,
@@ -536,8 +520,10 @@ class PatchTable:
             return rows
 
         rows = list(bounded_map(take, zip(range(frame_count), frames), worker_count()))
-        if len(rows) != frame_count:
-            raise ValueError(f"{len(rows)} frames to cut patches from, not {frame_count}")
+        more = next(frames, None) is not None  # and a spent generator drops its last frame
+        if len(rows) != frame_count or more:
+            raise ValueError(f"{len(rows) + more}{' or more' * more} frames to cut patches "
+                             f"from, not {frame_count}")
         self.rows = np.concatenate(rows)
         self.labels = np.array([offset.id for offset in offsets], dtype=np.int64)[self.rows[:, 1]]
         self.shape = (len(self.rows), p, p, len(channels))

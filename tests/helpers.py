@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences and error measures,
 networks cast to another precision, the forward pass as first written,
-and the traced memory peak of a block."""
+one frame's patch grid under one offset as first written, and the traced
+memory peak of a block."""
 
 import tracemalloc
 from contextlib import contextmanager
@@ -113,3 +114,41 @@ def predict_batch_oracle(net, patches, block=8, chunk_size=512):
         ids[start:start + chunk.shape[0]] = p.argmax(axis=1)
         probs[start:start + chunk.shape[0]] = p
     return ids, probs
+
+
+# One frame's patch grid under one depth offset as it was before the
+# padded L plane and the patch table: a shifted copy of L, one stacked
+# array and a window view over it. The bit-identity oracle of the grid.
+
+def shift_plane(plane, dx, dy, fill):
+    """Translate a plane by (dx right, dy down) into a new array; vacated
+    pixels get fill."""
+    h, w = plane.shape
+    out = np.full_like(plane, fill)
+    src_rows = slice(max(-dy, 0), h - max(dy, 0))
+    dst_rows = slice(max(dy, 0), h + min(dy, 0))
+    src_cols = slice(max(-dx, 0), w - max(dx, 0))
+    dst_cols = slice(max(dx, 0), w + min(dx, 0))
+    out[dst_rows, dst_cols] = plane[src_rows, src_cols]
+    return out
+
+
+def old_window_view(stacked, p, s):
+    """(rows, cols, p, p, C) strided view over an (H, W, C) array."""
+    windows = np.lib.stride_tricks.sliding_window_view(stacked, (p, p), axis=(0, 1))
+    return windows[::s, ::s].transpose(0, 1, 3, 4, 2)
+
+
+def old_frame_patches(frame, offset, channels, p, s, tau, fill):
+    """One frame's kept (n, p, p, C) patches under one offset, in row-major
+    window order, and its (rows, cols) keep mask: population variance of
+    the shifted depth >= tau."""
+    shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
+    sel = list(channels)
+    stacked = np.empty((frame.height, frame.width, len(sel)), dtype=np.float32)
+    for col, name in enumerate(sel):
+        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
+    windows = old_window_view(stacked, p, s)
+    l_windows = old_window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
+    keep = l_windows.var(axis=(2, 3)) >= tau
+    return np.ascontiguousarray(windows[keep]), keep

@@ -250,8 +250,9 @@ def _train_and_evaluate(train_frames, test_frames, channels):
                                               seed=EXPERIMENT["model_seed"]))
     net, history = model.train(net, table, table.labels, model.TrainConfig(
         epochs=EXPERIMENT["epochs"], seed=EXPERIMENT["model_seed"]))
-    report = evaluation.evaluate_run(net, test_frames, offsets, k_values=[1, 2, 4],
-                                     stride=EXPERIMENT["stride"], tau=DEFAULT_TAU)
+    report = evaluation.evaluate_run(net, test_frames, len(test_frames), offsets,
+                                     k_values=[1, 2, 4], stride=EXPERIMENT["stride"],
+                                     tau=DEFAULT_TAU)
     return net, report, history
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mmreg
-from mmreg import cli, model, nn, pipeline, synth
+from mmreg import cli, evaluation, model, nn, pipeline, synth
 from mmreg.cli import main, parse_channels
 from mmreg.pipeline import Frame, read_frame, read_manifest, write_frame
 from helpers import traced_peak
@@ -179,6 +179,32 @@ class TestFrameStreams:
         second = next(frames)
         gc.collect()
         assert first() is None and second.channel_names == ["R", "G", "B", "L"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_eval_holds_no_frame_once_its_table_is_built(self, small_corpus, tmp_path,
+                                                         monkeypatch, threads):
+        ckpt, manifest = tmp_path / "init", small_corpus / "ds" / "manifest.txt"
+        assert run("train", "--dataset", manifest, "--out", ckpt, "--channels", "Gr,L",
+                   "--filters", "2,2,2", "--kernel", 3, "--epochs", 0) == 0
+        read, predict = cli.read_frame, evaluation.predict_batch
+        frames, live = [], []
+
+        def tracked(path):
+            frame = read(path)
+            frames.append(weakref.ref(frame))
+            return frame
+
+        def counting(net, patches):  # the frames still alive at each call
+            live.append(sum(ref() is not None for ref in frames))
+            return predict(net, patches)
+
+        monkeypatch.setattr(cli, "read_frame", tracked)
+        monkeypatch.setattr(evaluation, "predict_batch", counting)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MMREG_THREADS", threads)
+        assert run("eval", "--checkpoint", ckpt / "checkpoint.mmrc", "--dataset", manifest,
+                   "--k-list", 1, "--out", tmp_path / "report") == 0
+        assert len(frames) == 3 and len(live) == 3 * 5 and not any(live)
 
 
 class TestFlowWorkers:
@@ -373,7 +399,8 @@ GRID_CASES = {
 
 
 class TestGridChecks:
-    """patch_grid's checks reach every subcommand as one error line."""
+    """The patch grid's checks (the depth shift's, as PatchTable and
+    patch_counts make them) reach every subcommand as one error line."""
 
     @pytest.mark.parametrize("case", list(GRID_CASES))
     def test_rejected_with_one_error_line(self, small_corpus, tmp_path, capsys, case):

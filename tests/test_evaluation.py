@@ -14,7 +14,9 @@ from mmreg.evaluation import (EvalReport, emit_report, evaluate_run,
                               render_patch_map, temporal_fuse, vote_frame,
                               write_confusion_csv)
 from mmreg.offsets import generate_offsets
+from mmreg.pipeline import Frame
 from mmreg.synth import SceneConfig, generate_sequence
+from helpers import old_frame_patches
 
 
 class TestMeanDiagonalAccuracy:
@@ -170,37 +172,38 @@ def make_eval_fixture(n_frames=4, n_classes=5):
     net = model.build_model(model.ModelConfig(
         patch_size=32, channels=("Gr", "L"), filters=(2, 2, 2),
         kernel_size=3, n_classes=n_classes, seed=3))
-    return net, frames, offsets
+    return net, frames, n_frames, offsets  # evaluate_run's first arguments
 
 
 class TestEvaluateRun:
     def test_perfect_classifier_stub(self, monkeypatch):
-        net, frames, offsets = make_eval_fixture()
-        # each pool thread runs patch_grid, then predict_batch, for one pair
+        net, frames, n, offsets = make_eval_fixture()
+        # each pool thread gathers one pair's rows of the table, then runs
+        # predict_batch on them: the rows' labels are the true classes
         truth = threading.local()
 
+        class Tracking(pipeline.PatchTable):
+            def __getitem__(self, idx):
+                truth.labels = self.labels[idx]
+                return super().__getitem__(idx)
+
         def perfect(the_net, patches):
-            ids = np.full(patches.shape[0], truth.current, dtype=np.int64)
-            probs = np.zeros((patches.shape[0], the_net.config.n_classes))
-            probs[:, truth.current] = 1.0
+            ids = truth.labels
+            assert len(ids) == patches.shape[0] > 0
+            probs = np.zeros((len(ids), the_net.config.n_classes))
+            probs[np.arange(len(ids)), ids] = 1.0
             return ids, probs
 
-        real = evaluation.patch_grid
-
-        def tracking(frame, offset, p, s, tau, fill, channels):
-            truth.current = offset.id
-            return real(frame, offset, p, s, tau, fill, channels)
-
         monkeypatch.setattr(evaluation, "predict_batch", perfect)
-        monkeypatch.setattr(evaluation, "patch_grid", tracking)
-        report = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
+        monkeypatch.setattr(evaluation, "PatchTable", Tracking)
+        report = evaluate_run(net, frames, n, offsets, k_values=[1, 2], stride=32, tau=0.0)
         assert mean_diagonal_accuracy(report.patch_cm) == pytest.approx(100.0)
         assert mean_diagonal_accuracy(report.image_cm) == pytest.approx(100.0)
         assert report.temporal_accuracy[1] == pytest.approx(100.0)
         assert report.temporal_accuracy[2] == pytest.approx(100.0)
 
     def test_constant_classifier_scores_chance(self, monkeypatch):
-        net, frames, offsets = make_eval_fixture()
+        net, frames, n, offsets = make_eval_fixture()
 
         def always_zero(the_net, patches):
             ids = np.zeros(patches.shape[0], dtype=np.int64)
@@ -209,34 +212,34 @@ class TestEvaluateRun:
             return ids, probs
 
         monkeypatch.setattr(evaluation, "predict_batch", always_zero)
-        report = evaluate_run(net, frames, offsets, k_values=[1], stride=32, tau=0.0)
+        report = evaluate_run(net, frames, n, offsets, k_values=[1], stride=32, tau=0.0)
         # balanced set: recall 100% for class 0, zero elsewhere
         assert mean_diagonal_accuracy(report.patch_cm) == pytest.approx(100.0 / 5)
         assert overall_accuracy(report.patch_cm) == pytest.approx(100.0 / 5)
 
     def test_image_matrix_consistent_with_votes(self):
-        net, frames, offsets = make_eval_fixture(n_frames=2)
-        report = evaluate_run(net, frames, offsets, k_values=[1], stride=32, tau=0.0)
+        net, frames, n, offsets = make_eval_fixture(n_frames=2)
+        report = evaluate_run(net, frames, n, offsets, k_values=[1], stride=32, tau=0.0)
         assert report.image_cm.sum() + report.no_decision_frames == len(frames) * len(offsets)
         assert report.patch_cm.sum() > 0
 
     def test_deterministic(self):
-        net, frames, offsets = make_eval_fixture(n_frames=2)
-        r1 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
-        r2 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
+        net, frames, n, offsets = make_eval_fixture(n_frames=2)
+        r1 = evaluate_run(net, frames, n, offsets, k_values=[1, 2], stride=32, tau=0.0)
+        r2 = evaluate_run(net, frames, n, offsets, k_values=[1, 2], stride=32, tau=0.0)
         assert np.array_equal(r1.patch_cm, r2.patch_cm)
         assert np.array_equal(r1.image_cm, r2.image_cm)
         assert r1.temporal_accuracy == r2.temporal_accuracy
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_report_independent_of_workers(self, monkeypatch, workers):
-        net, frames, offsets = make_eval_fixture()
+        net, frames, n, offsets = make_eval_fixture()
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setenv("MMREG_THREADS", "1")
-        r1 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
+        r1 = evaluate_run(net, frames, n, offsets, k_values=[1, 2], stride=32, tau=0.0)
         monkeypatch.setenv("MMREG_THREADS", str(workers))
         assert pipeline.blas_workers() == workers
-        r2 = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
+        r2 = evaluate_run(net, frames, n, offsets, k_values=[1, 2], stride=32, tau=0.0)
         assert np.array_equal(r1.patch_cm, r2.patch_cm)
         assert np.array_equal(r1.image_cm, r2.image_cm)
         assert r1.temporal_accuracy == r2.temporal_accuracy
@@ -246,7 +249,7 @@ class TestEvaluateRun:
             assert grid.tobytes() == r2.patch_maps[class_id].tobytes()
 
     def test_worker_exception_propagates_and_threads_exit(self, monkeypatch):
-        net, frames, offsets = make_eval_fixture()
+        net, frames, n, offsets = make_eval_fixture()
         real = evaluation.predict_batch
         calls = []
         lock = threading.Lock()
@@ -265,14 +268,14 @@ class TestEvaluateRun:
         assert pipeline.blas_workers() == 2
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="classifier failed"):
-            evaluate_run(net, frames, offsets, k_values=[1], stride=32, tau=0.0)
+            evaluate_run(net, frames, n, offsets, k_values=[1], stride=32, tau=0.0)
         assert threading.active_count() == threads_before
         assert len(calls) < len(frames) * len(offsets)  # the queue was cancelled
 
     def test_pool_follows_blas_threads(self, monkeypatch, tmp_path):
         # two CPUs: under OpenBLAS's default of two BLAS threads the pairs run
         # on the calling thread; with one BLAS thread, on two pool threads
-        net, frames, offsets = make_eval_fixture()
+        net, frames, n, offsets = make_eval_fixture()
         real = evaluation.predict_batch
         callers = set()
 
@@ -291,7 +294,7 @@ class TestEvaluateRun:
                 monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
                 monkeypatch.setenv("MMREG_THREADS", "2")
             callers.clear()
-            report = evaluate_run(net, frames, offsets, k_values=[1, 2], stride=32, tau=0.0)
+            report = evaluate_run(net, frames, n, offsets, k_values=[1, 2], stride=32, tau=0.0)
             out = tmp_path / setting
             emit_report(report, out)
             reports[setting] = (callers.copy(), {p.name: p.read_bytes() for p in out.iterdir()})
@@ -339,30 +342,126 @@ class TestEvaluateRun:
         }
 
     def test_channel_mismatch_rejected(self):
-        net, frames, offsets = make_eval_fixture()
+        net, frames, n, offsets = make_eval_fixture()
         bad_net = model.build_model(model.ModelConfig(
             patch_size=32, channels=("Gr", "L", "U", "V"), filters=(2, 2, 2),
             kernel_size=3, n_classes=5, seed=3))
         with pytest.raises(ValueError, match="channel mismatch"):
-            evaluate_run(bad_net, frames, offsets, k_values=[1], stride=32, tau=0.0)
+            evaluate_run(bad_net, frames, n, offsets, k_values=[1], stride=32, tau=0.0)
 
     def test_oversized_window_rejected(self):
-        net, frames, offsets = make_eval_fixture(n_frames=2)
+        net, frames, n, offsets = make_eval_fixture(n_frames=2)
         with pytest.raises(ValueError, match="temporal window"):
-            evaluate_run(net, frames, offsets, k_values=[3], stride=32, tau=0.0)
+            evaluate_run(net, frames, n, offsets, k_values=[3], stride=32, tau=0.0)
 
     def test_offset_table_size_must_match_model(self):
-        net, frames, _ = make_eval_fixture()
+        net, frames, n, _ = make_eval_fixture()
         wrong = generate_offsets(7, 16, 8, 45.0)
         with pytest.raises(ValueError, match="offset table"):
-            evaluate_run(net, frames, wrong, k_values=[1], stride=32, tau=0.0)
+            evaluate_run(net, frames, n, wrong, k_values=[1], stride=32, tau=0.0)
 
     @pytest.mark.parametrize("ids", [[0, 1, 2, 3, 3], [0, 1, 2, 3, 7], [1, 0, 2, 3, 4]])
     def test_offset_ids_must_be_class_ids_in_order(self, ids):
-        net, frames, offsets = make_eval_fixture(n_frames=2, n_classes=5)
+        net, frames, n, offsets = make_eval_fixture(n_frames=2, n_classes=5)
         table = [dataclasses.replace(offsets[i], id=new) for i, new in enumerate(ids)]
         with pytest.raises(ValueError, match=re.escape(f"offset table ids {ids}")):
-            evaluate_run(net, frames, table, k_values=[1], stride=32, tau=0.0)
+            evaluate_run(net, frames, n, table, k_values=[1], stride=32, tau=0.0)
+
+    @pytest.mark.parametrize("case", ["count-above", "count-below", "count-zero", "no-frames",
+                                      "mixed-sizes", "k-above-count"])
+    def test_stream_contract(self, case):
+        # frames is a stream of exactly frame_count frames of one size
+        net, frames, _, offsets = make_eval_fixture(n_frames=3)
+        if case == "mixed-sizes":
+            frames[2] = Frame({name: np.zeros((96, 161), np.float32)
+                               for name in frames[0].channel_names})
+        if case == "no-frames":
+            frames = []
+        count, k, match = {
+            "count-above": (4, 1, "3 frames to cut patches from, not 4"),
+            "count-below": (2, 1, "3 or more frames to cut patches from, not 2"),
+            "count-zero": (0, 1, "no frames to evaluate"),
+            "no-frames": (3, 1, "no frames to evaluate"),
+            "mixed-sizes": (3, 1, "frame 2 is 161x96, frame 0 160x96"),
+            "k-above-count": (2, 3, re.escape("temporal window 3 outside [1, 2] frames")),
+        }[case]
+        pulled = []
+
+        def stream():
+            for frame in frames:
+                pulled.append(frame)
+                yield frame
+
+        with pytest.raises(ValueError, match=match):
+            evaluate_run(net, stream(), count, offsets, k_values=[k], stride=32, tau=0.0)
+        if case == "k-above-count":
+            assert len(pulled) < 2
+
+
+def loop_report(net, frames, offsets, stride, tau, fill):
+    """evaluate_run's patch matrix, image matrix, no-decision count and
+    frame-0 patch maps from one predict_batch call per (offset, frame)
+    pair on the old patch grid's kept patches: the reference."""
+    n = net.config.n_classes
+    patch_cm, image_cm = np.zeros((n, n), np.int64), np.zeros((n, n), np.int64)
+    no_decision, maps = 0, {}
+    for offset in offsets:
+        for i, frame in enumerate(frames):
+            kept, keep = old_frame_patches(frame, offset, net.config.channels,
+                                           net.config.patch_size, stride, tau, fill)
+            ids = model.predict_batch(net, kept)[0]
+            counts = np.bincount(ids, minlength=n)
+            patch_cm[offset.id] += counts
+            if counts.any():
+                image_cm[offset.id, counts.argmax()] += 1
+            else:
+                no_decision += 1
+            if i == 0:
+                maps[offset.id] = np.full(keep.shape, -1, dtype=np.int64)
+                maps[offset.id][keep] = ids
+    return patch_cm, image_cm, no_decision, maps
+
+
+class TestEvaluateRunOracle:
+    """evaluate_run against a loop over pairs on the old patch grid. Both
+    classify the same patches with predict_batch, so the two agree bit
+    for bit under any BLAS build."""
+    H, W = 40, 48
+
+    def frames(self):
+        rng = np.random.default_rng(31)
+        frames = []
+        for i in range(3):
+            planes = {name: rng.random((self.H, self.W), dtype=np.float32)
+                      for name in ("Gr", "L", "U", "V")}
+            planes["L"][8:32, 4:28] = 0.5  # flat depth: tau drops some windows
+            if i == 1:
+                planes["L"][...] = 0.0  # and under fill 0, every window of every pair
+            frames.append(Frame(planes))
+        return frames
+
+    @pytest.mark.parametrize("channels", [("Gr", "L", "U"), ("Gr", "U")])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_same_as_pair_loop(self, monkeypatch, channels, threads):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MMREG_THREADS", threads)
+        assert pipeline.blas_workers() == int(threads)
+        net = model.build_model(model.ModelConfig(
+            patch_size=16, channels=channels, filters=(2, 3, 2), kernel_size=3, n_classes=5,
+            seed=4))
+        frames, offsets = self.frames(), generate_offsets(5, 16, 8, 45.0)
+        tau, fill = pipeline.DEFAULT_TAU, 0.0
+        report = evaluate_run(net, iter(frames), len(frames), offsets, k_values=[1, 3],
+                              stride=8, tau=tau, fill=fill)
+        patch_cm, image_cm, no_decision, maps = loop_report(net, frames, offsets, 8, tau, fill)
+        assert no_decision >= len(offsets) and patch_cm.sum() > 0
+        assert any((grid < 0).any() and (grid >= 0).any() for grid in maps.values())
+        assert report.patch_cm.tobytes() == patch_cm.tobytes()
+        assert report.image_cm.tobytes() == image_cm.tobytes()
+        assert report.no_decision_frames == no_decision
+        assert report.patch_maps.keys() == maps.keys()
+        for class_id, grid in maps.items():
+            assert report.patch_maps[class_id].tobytes() == grid.tobytes()
 
 
 def loop_patch_map(grid):

@@ -103,8 +103,8 @@ def test_only_patch_grid_shifts_depth():
     """One patch grid, one depth shift: of the package's top-level
     statements, only pipeline._DepthShift, which shifts the depth plane,
     and manifest_text, which writes offsets out, read a .dx or .dy.
-    And only the patch grid's users make a _DepthShift: patch_grid, the
-    keep masks of patch_counts and the PatchTable that training reads."""
+    And only the patch grid's users make a _DepthShift: the keep masks
+    of patch_counts and the PatchTable that training and evaluation read."""
     readers, makers = set(), set()
     for path in MODULES:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -116,7 +116,7 @@ def test_only_patch_grid_shifts_depth():
             if "_DepthShift" in refs and name != "_DepthShift":
                 makers.add(name)
     assert readers == {"_DepthShift", "manifest_text"}
-    assert makers == {"patch_grid", "patch_counts", "PatchTable"}
+    assert makers == {"patch_counts", "PatchTable"}
 
 
 def test_traced_names_exist():

@@ -11,10 +11,10 @@ from mmreg import flow, pipeline
 from mmreg.offsets import OffsetClass, generate_offsets
 from mmreg.pipeline import (DatasetManifest, FormatError, Frame, PatchSample,
                             build_dataset, extract_patches,
-                            iter_patch_samples, patch_grid, read_frame, read_manifest,
+                            iter_patch_samples, read_frame, read_manifest,
                             rgb_to_gray, write_frame, write_manifest)
 from mmreg.synth import SceneConfig, generate_sequence
-from helpers import traced_peak
+from helpers import old_frame_patches, old_window_view, shift_plane, traced_peak
 
 
 def random_frame(rng, height=16, width=20, names=("R", "G", "B", "L")):
@@ -22,15 +22,26 @@ def random_frame(rng, height=16, width=20, names=("R", "G", "B", "L")):
 
 
 def shifted_stack(frame, offset, fill=0.0):
-    """The whole (H, W, C) stack that patch_grid windows: its 1x1 grid at stride 1."""
-    windows, _ = patch_grid(frame, offset, 1, 1, 0.0, fill, frame.channel_names)
-    return windows[:, :, 0, 0]
+    """The whole (H, W, C) stack that the patch grid windows: the patches
+    of its 1x1 PatchTable at stride 1, where tau 0 keeps every window."""
+    table = pipeline.PatchTable([frame], 1, [offset], 1, 1, 0.0, fill, frame.channel_names)
+    return table[:].reshape(frame.height, frame.width, -1)
 
 
 def depth_keep(l_plane, tau):
-    """patch_grid's keep mask for one window covering the whole depth plane."""
-    frame = Frame({"L": l_plane})
-    return patch_grid(frame, OffsetClass(0, 0, 0), l_plane.shape[0], 1, tau, 0.0, ["L"])[1]
+    """The depth shift's keep mask for one window covering the whole depth plane."""
+    plane = Frame({"L": l_plane}).plane("L")
+    shift = pipeline._DepthShift(*plane.shape, [OffsetClass(0, 0, 0)], plane.shape[0], 1, tau,
+                                 0.0)
+    return shift.keeps(plane)[0]
+
+
+def table_run(table, frame_index, offset_index):
+    """The indices of one (frame, offset class) pair's rows of a
+    PatchTable, which are one contiguous run."""
+    idx = np.flatnonzero((table.rows[:, 0] == frame_index) & (table.rows[:, 1] == offset_index))
+    assert (np.diff(idx) == 1).all()
+    return idx
 
 
 class TestFrame:
@@ -212,7 +223,7 @@ class TestAddFlowChannels:
 
 
 class TestApplyOffset:
-    """The depth shift of patch_grid: only L moves, vacated pixels get fill."""
+    """The depth shift of the patch grid: only L moves, vacated pixels get fill."""
 
     def test_zero_offset_unchanged(self):
         rng = np.random.default_rng(6)
@@ -262,7 +273,7 @@ class TestApplyOffset:
         frame = random_frame(rng, height=4, width=4, names=("L",))
         for dx, dy in [(4, 0), (-4, 0), (0, 4), (0, -4)]:
             with pytest.raises(ValueError, match="exceeds"):
-                patch_grid(frame, OffsetClass(1, dx, dy), 2, 1, 0.0, 0.0, ["L"])
+                pipeline.PatchTable([frame], 1, [OffsetClass(1, dx, dy)], 2, 1, 0.0, 0.0, ["L"])
 
 
 class TestExtractPatches:
@@ -310,7 +321,7 @@ class TestExtractPatches:
 
 
 class TestVarianceKeep:
-    """The keep mask of patch_grid: population variance of shifted depth >= tau."""
+    """The keep mask of the patch grid: population variance of shifted depth >= tau."""
 
     def test_constant_dropped(self):
         assert not depth_keep(np.full((8, 8), 0.7), tau=1e-9).any()
@@ -417,26 +428,8 @@ class TestBuildDataset:
         np.testing.assert_array_equal(samples[0].data[:, :, 0], frame.plane("Gr")[:16, :16])
 
 
-def shift_plane(plane, dx, dy, fill):
-    """The depth shift before the padded L plane: translate a plane by
-    (dx right, dy down) into a new array; vacated pixels get fill."""
-    h, w = plane.shape
-    out = np.full_like(plane, fill)
-    src_rows = slice(max(-dy, 0), h - max(dy, 0))
-    dst_rows = slice(max(dy, 0), h + min(dy, 0))
-    src_cols = slice(max(-dx, 0), w - max(dx, 0))
-    dst_cols = slice(max(dx, 0), w + min(dx, 0))
-    out[dst_rows, dst_cols] = plane[src_rows, src_cols]
-    return out
-
-
-def _old_window_view(stacked, p, s):
-    windows = np.lib.stride_tricks.sliding_window_view(stacked, (p, p), axis=(0, 1))
-    return windows[::s, ::s].transpose(0, 1, 3, 4, 2)
-
-
 def old_frame_samples(frame_index, frame, offsets, p, s, tau, fill, sel):
-    """The per-cell sample loop of iter_patch_samples before patch_grid,
+    """The per-cell sample loop of iter_patch_samples before the patch grid,
     kept as the reference that the grid must reproduce bit for bit."""
     static = frame.stack([c for c in sel if c != "L"])
     static_cols = [i for i, c in enumerate(sel) if c != "L"]
@@ -450,8 +443,8 @@ def old_frame_samples(frame_index, frame, offsets, p, s, tau, fill, sel):
             stacked[:, :, col] = static[:, :, ci]
         if l_col is not None:
             stacked[:, :, l_col] = shifted
-        windows = _old_window_view(stacked, p, s)
-        l_windows = _old_window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
+        windows = old_window_view(stacked, p, s)
+        l_windows = old_window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
         keep = l_windows.var(axis=(2, 3)) >= tau
         rows, cols = keep.shape
         for i in range(rows):
@@ -461,19 +454,6 @@ def old_frame_samples(frame_index, frame, offsets, p, s, tau, fill, sel):
                                            label=offset.id, frame_index=frame_index,
                                            origin=(i * s, j * s)))
     return out
-
-
-def old_frame_patches(frame, offset, channels, p, s, tau, fill):
-    """evaluation's kept patches and keep mask before patch_grid."""
-    shifted = shift_plane(frame.plane("L"), offset.dx, offset.dy, fill)
-    sel = list(channels)
-    stacked = np.empty((frame.height, frame.width, len(sel)), dtype=np.float32)
-    for col, name in enumerate(sel):
-        stacked[:, :, col] = shifted if name == "L" else frame.plane(name)
-    windows = _old_window_view(stacked, p, s)
-    l_windows = _old_window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
-    keep = l_windows.var(axis=(2, 3)) >= tau
-    return np.ascontiguousarray(windows[keep]), keep
 
 
 class TestPatchGridOracle:
@@ -525,22 +505,25 @@ class TestPatchGridOracle:
             assert x.tobytes() == old_x.tobytes() and labels.tobytes() == old_y.tobytes()
             assert index.tobytes() == old_index.tobytes()
             assert origins.tobytes() == old_origins.tobytes()
-        for frame in frames:
-            for offset in offsets:
-                windows, keep = patch_grid(frame, offset, p, s, tau, fill, sel)
+        # each (frame, offset) run of the table, as evaluate_run classifies it
+        table = pipeline.PatchTable(iter(frames), len(frames), offsets, p, s, tau, fill, sel)
+        for i, frame in enumerate(frames):
+            for j, offset in enumerate(offsets):
+                run = table_run(table, i, j)
                 old_kept, old_keep = old_frame_patches(frame, offset, sel, p, s, tau, fill)
-                assert keep.tobytes() == old_keep.tobytes()
-                assert windows[keep].tobytes() == old_kept.tobytes()
+                assert table.rows[run, 2:].tolist() == (np.argwhere(old_keep) * s).tolist()
+                assert table[run].tobytes() == old_kept.tobytes()
 
     def test_depth_only_selection(self):
         # the old sample loop could not stack an empty static set; eval's could
         frame, offsets = self.frames()[0], self.offsets()
-        for offset in offsets:
-            windows, keep = patch_grid(frame, offset, 6, 4, pipeline.DEFAULT_TAU, 0.5, ["L"])
+        table = pipeline.PatchTable([frame], 1, offsets, 6, 4, pipeline.DEFAULT_TAU, 0.5, ["L"])
+        for j, offset in enumerate(offsets):
+            run = table_run(table, 0, j)
             old_kept, old_keep = old_frame_patches(frame, offset, ["L"], 6, 4,
                                                    pipeline.DEFAULT_TAU, 0.5)
-            assert keep.tobytes() == old_keep.tobytes()
-            assert windows[keep].tobytes() == old_kept.tobytes()
+            assert table.rows[run, 2:].tolist() == (np.argwhere(old_keep) * 4).tolist()
+            assert table[run].tobytes() == old_kept.tobytes()
 
 
 class TestPatchTable:
@@ -558,7 +541,7 @@ class TestPatchTable:
         return frames
 
     def offsets(self):
-        h, w = self.H - 1, self.W - 1  # the largest shifts patch_grid takes
+        h, w = self.H - 1, self.W - 1  # the largest shifts the depth shift takes
         return [OffsetClass(i, dx, dy) for i, (dx, dy) in
                 enumerate([(0, 0), (w, -h), (-w, 0), (2, h), (-3, -1)])]
 
