@@ -3,6 +3,22 @@
 Horn-Schunck fixed-point iterations on the brightness-constancy constraint
 with quadratic smoothness. Single scale, deterministic; good enough to
 provide motion channels for the classifier, not a state-of-the-art flow.
+
+The defaults, alpha 10 in 100 Jacobi sweeps, follow Horn and Schunck's
+model (AI 17, 1981): a stronger smoothness weight carries the motion of
+edges into textureless areas in fewer sweeps. Synth pans the camera so
+that the background moves by (-1, 0) px/frame. On background pixels (no
+depth return in either frame, 8-px border left out) the endpoint error
+is 0.51 px on the 400x192 pair that tests/test_flow.py pins, and
+0.54 px over 79 pairs of 800x256 (seed 101), against 1.16 and 1.18 px
+at the former alpha 1 in 200 sweeps. A zero field scores 1.00 px, so
+the former field was worse than none. On object interiors the 800x256
+error is 1.03 px, against 1.70 px before and 1.17 px for a zero field.
+Half the sweeps cost half the time. In the acceptance experiment
+(seeds 101 and 202) GrLUV patch accuracy held at 52.9 % (53.0 %
+before), and image accuracy rose from 90.6 to 92.8 %, against 90.6 %
+without flow (RGBL). Alpha 10 in 25 or 50 sweeps, and alpha 3 or 30
+in 50, lost 1.5-3.2 points of patch accuracy.
 """
 
 from __future__ import annotations
@@ -11,13 +27,13 @@ import math
 
 import numpy as np
 
-DEFAULT_ALPHA = 1.0
-DEFAULT_ITERATIONS = 200
+DEFAULT_ALPHA = 10.0
+DEFAULT_ITERATIONS = 100
 DEFAULT_CLAMP = 8.0
 
-# Derivatives are computed on an 8-bit-like brightness scale; alpha defaults
-# near 1 are calibrated for that range, and [0,1] inputs would otherwise make
-# the smoothness term swamp the data term.
+# Derivatives are computed on an 8-bit-like brightness scale; alpha is
+# calibrated for that range, and [0,1] inputs would otherwise make the
+# smoothness term swamp the data term.
 _BRIGHTNESS_SCALE = 255.0
 
 _SIXTH = np.float32(1.0 / 6.0)

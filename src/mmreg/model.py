@@ -32,7 +32,7 @@ CONV_BLOCK = 8
 PREDICT_CHUNK = 512
 # ceilings, checked before allocating, on a network's float32 weights and
 # on the buffers of one training batch; the default network at batch 100
-# takes 0.4 MB and 80 MB on one block, 96 MB on two
+# takes 0.4 MB and 80 MB on one block, 88 MB on two
 MAX_WEIGHT_BYTES = 1 << 30
 MAX_BATCH_WORK_BYTES = 1 << 31
 # bytes of im2col rows per forward GEMM of a training block's stages 1
@@ -131,22 +131,24 @@ def _kernel_shapes(config: ModelConfig) -> list[tuple[int, int, int, int]]:
 
 
 def _work_shapes(config: ModelConfig, sample_shape, capacity: int, itemsize: int,
-                 blocks: int) -> tuple[tuple, list[tuple], list[tuple], tuple]:
+                 blocks: int) -> tuple[tuple, list[tuple], list[tuple], list[int]]:
     """Shapes of _BatchWork's arrays for batches of up to capacity (h, w, c)
     samples of itemsize-byte values in `blocks` blocks: stage 0's im2col
     rows, every stage's conv output, every stage's pooled output, and the
-    (blocks, size) scratch rows.
+    size of each block's scratch row.
 
-    A scratch row holds the im2col rows of a forward slice of a block or
-    a chunk of conv2d_backward's rebuilt rows at any batch up to
-    capacity: a smaller batch's chunk may hold more kernel rows, but
-    never more than k of them nor, unless it holds one, more than the
-    budget.
+    Scratch row j holds the im2col rows of a forward slice of block j.
+    Row i - 1 also holds a chunk of conv2d_backward's rebuilt rows for
+    stage i (i = 1, 2), which run at once on two threads when there are
+    two or more blocks; with one block both share row 0. A chunk is
+    sized for any batch up to capacity: a smaller batch's chunk may hold
+    more kernel rows, but never more than k of them nor, unless it holds
+    one, more than the budget.
     """
     h, w, _ = sample_shape
     k, pad = config.kernel_size, (config.kernel_size - 1) // 2
     block = -(-capacity // blocks)
-    cols, zs, pooled, scratch = None, [], [], 0
+    cols, zs, pooled, sliced, chunks = None, [], [], 0, []
     for c_out, _, _, c_in in _kernel_shapes(config):
         h, w = (nn._conv_out_size(side, k, pad) for side in (h, w))
         per_patch = h * w * k * k * c_in  # im2col elements of one patch
@@ -154,13 +156,16 @@ def _work_shapes(config: ModelConfig, sample_shape, capacity: int, itemsize: int
             cols = (capacity, h * w, k * k * c_in)
         else:
             row = capacity * per_patch // k  # one kernel row's rows at capacity
-            scratch = max(scratch, min(block, _slice_patches(per_patch * itemsize)) * per_patch,
-                          row * nn._kernel_rows_per_chunk(row * itemsize, k),
-                          min(k * row, nn._KERNEL_GRAD_CHUNK_BYTES // itemsize))
+            sliced = max(sliced, min(block, _slice_patches(per_patch * itemsize)) * per_patch)
+            chunks.append(max(row * nn._kernel_rows_per_chunk(row * itemsize, k),
+                              min(k * row, nn._KERNEL_GRAD_CHUNK_BYTES // itemsize)))
         zs.append((capacity, h, w, c_out))
         pooled.append((capacity, h // 2, w // 2, c_out))
         h, w = h // 2, w // 2
-    return cols, zs, pooled, (blocks, scratch)
+    scratch = [sliced] * blocks
+    for i, chunk in enumerate(chunks):
+        scratch[i % blocks] = max(scratch[i % blocks], chunk)
+    return cols, zs, pooled, scratch
 
 
 def require_sizes(config: ModelConfig, batch: int = 0, itemsize: int = 4,
@@ -176,7 +181,7 @@ def require_sizes(config: ModelConfig, batch: int = 0, itemsize: int = 4,
                          f"over the {MAX_WEIGHT_BYTES}-byte cap")
     sample_shape = (config.patch_size, config.patch_size, len(config.channels))
     cols, zs, pooled, scratch = _work_shapes(config, sample_shape, batch, itemsize, blocks)
-    work_bytes = itemsize * sum(map(math.prod, [cols, *zs, *pooled, scratch]))
+    work_bytes = itemsize * (sum(map(math.prod, [cols, *zs, *pooled])) + sum(scratch))
     if work_bytes > MAX_BATCH_WORK_BYTES:
         raise ValueError(f"training buffers for batches of {batch} take {work_bytes} bytes, "
                          f"over the {MAX_BATCH_WORK_BYTES}-byte cap; lower the batch size")
@@ -214,15 +219,16 @@ class _BatchWork:
     conv parameters, and the pool its patch blocks run on.
 
     It holds stage 0's im2col rows, every stage's conv output and pooled
-    output, and one scratch row per block. The forward applies relu over
-    the conv output in place, and the backward overwrites it with the
-    gradient at the conv output, so one buffer serves the conv output,
-    its relu and its gradient. Blocks write their rows of these in place.
+    output, and one scratch row per block, each sized for what it serves
+    (_work_shapes). The forward applies relu over the conv output in
+    place, and the backward overwrites it with the gradient at the conv
+    output, so one buffer serves the conv output, its relu and its
+    gradient. Blocks write their rows of these in place.
 
     Stages 1 and 2 keep no im2col rows: a block's forward lowers them a
     slice of patches at a time into its scratch row, and their kernel
     gradients rebuild them a chunk of kernel rows at a time into scratch
-    rows of their own (nn.conv2d_backward). Stage 0 keeps its rows: with
+    rows 0 and 1 (nn.conv2d_backward). Stage 0 keeps its rows: with
     the default 4 input channels a rebuilt kernel row copies runs of only
     20 values, and at batch 100 on one thread its kernel gradient took
     25.8 ms rebuilt against 15.7 ms kept (conv1 35.7 against 32.1 ms,
@@ -243,7 +249,7 @@ class _BatchWork:
         self.cols = np.empty(cols, dtype)
         self.z = [np.empty(shape, dtype) for shape in zs]
         self.pooled = [np.empty(shape, dtype) for shape in pooled]
-        self.scratch = np.empty(scratch, dtype)
+        self.scratch = [np.empty(size, dtype) for size in scratch]
 
     def bounds(self, n: int) -> list[tuple[int, int]]:
         """[start, stop) of each contiguous block of an n-sample batch."""

@@ -1,7 +1,7 @@
 """Shared test oracles: central finite differences and error measures,
 networks cast to another precision, the forward pass as first written,
-one frame's patch grid under one offset as first written, and the traced
-memory peak of a block."""
+one frame's patch grid under one offset as first written, the traced
+memory peak of a block, and the background error of a synth flow field."""
 
 import tracemalloc
 from contextlib import contextmanager
@@ -152,3 +152,27 @@ def old_frame_patches(frame, offset, channels, p, s, tau, fill):
     l_windows = old_window_view(shifted[:, :, None], p, s)[:, :, :, :, 0]
     keep = l_windows.var(axis=(2, 3)) >= tau
     return np.ascontiguousarray(windows[keep]), keep
+
+
+# The background flow error of the benchmark's ingest check, re-implemented
+# so that tests do not import the benchmark: background pixels have no
+# depth return in either frame of a pair (L holds only the +-0.02 synth
+# noise there), and the border is left out because Horn-Schunck pads by
+# edge replication. Synth pans the camera +1 px/frame in x, so the
+# background moves by (-1, 0).
+
+BACKGROUND_MAX_L = 0.02
+EPE_BORDER = 8
+CAMERA_MOTION = (-1.0, 0.0)
+
+
+def background_epe(uv, l_prev, l_next):
+    """Mean endpoint error (px) of a (2, H, W) flow field against the
+    camera motion, over the background pixels of a pair's L planes."""
+    mask = (l_prev <= BACKGROUND_MAX_L) & (l_next <= BACKGROUND_MAX_L)
+    b = EPE_BORDER
+    mask[:b] = mask[-b:] = False
+    mask[:, :b] = mask[:, -b:] = False
+    err = np.hypot(uv[0].astype(np.float64) - CAMERA_MOTION[0],
+                   uv[1].astype(np.float64) - CAMERA_MOTION[1])
+    return float(err[mask].mean())

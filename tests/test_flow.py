@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from mmreg import flow
+from helpers import background_epe
+from mmreg import flow, pipeline, synth
 
 
 def gaussian_blob(h, w, cy, cx, sigma, amp=1.0):
@@ -75,6 +78,37 @@ class TestEstimateFlow:
         nxt = rng.random((24, 24), dtype=np.float32)
         u, v = flow.estimate_flow(prev, nxt, iterations=50)
         assert np.isfinite(u).all() and np.isfinite(v).all()
+
+
+@pytest.fixture(scope="module")
+def synth_pair():
+    """Frames 0 and 1 of a 400x192 synth sequence (seed 101, 20 objects),
+    with Gr, as the acceptance experiment's flow step sees them."""
+    config = synth.SceneConfig(seed=101, frame_count=2, width=400, height=192, object_count=20)
+    return [pipeline.rgb_to_gray(frame) for frame in synth.generate_sequence(config)]
+
+
+class TestDefaults:
+    def test_bytes_pinned(self, synth_pair):
+        """The U,V bytes at the defaults. estimate_flow and flow_to_channels
+        run only elementwise float32 ufuncs, no BLAS, so these digests
+        should hold on any x86-64 with numpy 2.x; they change whenever a
+        default or the solver's arithmetic does."""
+        prev, nxt = synth_pair
+        uv = flow.estimate_flow(prev.plane("Gr"), nxt.plane("Gr"))
+        assert hashlib.sha256(uv.tobytes()).hexdigest() == \
+            "144e0aaa4be1242790c3ea48362bd6f55b05abe1da1c7704548fc851b592decd"
+        assert hashlib.sha256(flow.flow_to_channels(uv).tobytes()).hexdigest() == \
+            "8b60268e8be7a335af49114cb22223ab0e81831443fc849df829fdd324451c1e"
+
+    def test_beats_zero_field_on_background(self, synth_pair):
+        # a zero field scores exactly 1 px against the camera's (-1, 0);
+        # alpha 10 in 100 sweeps scores about 0.51 px here, alpha 1 in
+        # 200 sweeps about 1.16 px
+        prev, nxt = synth_pair
+        uv = flow.estimate_flow(prev.plane("Gr"), nxt.plane("Gr"))
+        assert background_epe(np.zeros_like(uv), prev.plane("L"), nxt.plane("L")) == 1.0
+        assert background_epe(uv, prev.plane("L"), nxt.plane("L")) < 0.75
 
 
 def reference_estimate_flow(frame_prev, frame_next, alpha, iterations):

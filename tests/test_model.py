@@ -312,11 +312,13 @@ class TestBatchWorkSize:
         with pytest.raises(ValueError, match=f"batches of {capacity} take {nbytes} bytes"):
             model.require_sizes(config, capacity, itemsize, blocks)
 
-    @pytest.mark.parametrize("blocks,expected", [(1, 79_872_000), (2, 96_256_000)])
+    @pytest.mark.parametrize("blocks,expected", [(1, 79_872_000), (2, 88_260_608),
+                                                 (3, 92_356_608)])
     def test_default_net_at_batch_100(self, blocks, expected):
         # stage 0's im2col rows (41 MB), the conv and pooled outputs (23 MB)
-        # and a 16.4 MB scratch row per block, which holds one kernel row
-        # of conv1's rebuilt im2col rows at batch 100
+        # and a scratch row per block: row 0 holds one kernel row of conv1's
+        # rebuilt im2col rows at batch 100 (16.4 MB), row 1 a chunk of
+        # conv2's (8.39 MB), and a later row a 4.1 MB forward slice
         work = model._BatchWork(model.build_model(model.ModelConfig()), (32, 32, 4), 100,
                                 np.float32, blocks)
         nbytes = sum(a.nbytes for a in work_arrays(work))
