@@ -355,7 +355,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, Subcommand]]:
     p.add("--alpha", type=float, default=flow_mod.DEFAULT_ALPHA,
           help="smoothness weight")
     p.add("--iters", type=int, default=flow_mod.DEFAULT_ITERATIONS,
-          help="Jacobi sweeps per frame pair")
+          help="multigrid V-cycles per frame pair")
     p.add("--clamp", type=float, default=flow_mod.DEFAULT_CLAMP,
           help="flow magnitude mapped to the [0,1] channel range")
 

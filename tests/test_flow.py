@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,18 +99,24 @@ class TestDefaults:
         prev, nxt = synth_pair
         uv = flow.estimate_flow(prev.plane("Gr"), nxt.plane("Gr"))
         assert hashlib.sha256(uv.tobytes()).hexdigest() == \
-            "144e0aaa4be1242790c3ea48362bd6f55b05abe1da1c7704548fc851b592decd"
+            "2587c68a50860e5191c7d65b765f454067c2168ae40ffb98e9d2432f8de98a48"
         assert hashlib.sha256(flow.flow_to_channels(uv).tobytes()).hexdigest() == \
-            "8b60268e8be7a335af49114cb22223ab0e81831443fc849df829fdd324451c1e"
+            "947c985af85957d86d8b789ed7410b8bd1eecdbc22783d8a5d80e3f7ccea7780"
 
     def test_beats_zero_field_on_background(self, synth_pair):
         # a zero field scores exactly 1 px against the camera's (-1, 0);
-        # alpha 10 in 100 sweeps scores about 0.51 px here, alpha 1 in
-        # 200 sweeps about 1.16 px
+        # alpha 10 in 2 V-cycles scores about 0.46 px here, in 100 plain
+        # sweeps 0.51 px, alpha 1 in 200 sweeps about 1.16 px
         prev, nxt = synth_pair
         uv = flow.estimate_flow(prev.plane("Gr"), nxt.plane("Gr"))
         assert background_epe(np.zeros_like(uv), prev.plane("L"), nxt.plane("L")) == 1.0
         assert background_epe(uv, prev.plane("L"), nxt.plane("L")) < 0.75
+
+    def test_background_error_below_100_plain_sweeps(self, synth_pair):
+        # the 100 plain sweeps that were the default score 0.509 px here
+        prev, nxt = synth_pair
+        uv = flow.estimate_flow(prev.plane("Gr"), nxt.plane("Gr"))
+        assert background_epe(uv, prev.plane("L"), nxt.plane("L")) < 0.50
 
 
 def reference_estimate_flow(frame_prev, frame_next, alpha, iterations):
@@ -148,7 +156,18 @@ def reference_estimate_flow(frame_prev, frame_next, alpha, iterations):
     return u, v
 
 
+def fine_sweeps(frame_prev, frame_next, alpha, sweeps):
+    """sweeps Jacobi sweeps of the V-cycle's fine level from a zero field."""
+    grid = flow._FineGrid(np.asarray(frame_prev, np.float32), np.asarray(frame_next, np.float32),
+                          alpha)
+    grid.sweep(sweeps)
+    return grid.field()
+
+
 class TestBufferedLoopMatchesReference:
+    """The fine-level smoother of the V-cycles is the Jacobi loop as
+    first written, bit for bit."""
+
     # (1, 2), (2, 1), (3, 401) and (192, 400): flat neighbour offsets that
     # cross row boundaries in the padded buffer
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (5, 7), (48, 48),
@@ -161,29 +180,154 @@ class TestBufferedLoopMatchesReference:
         prev = rng.random(shape, dtype=np.float32)
         nxt = rng.random(shape, dtype=np.float32)
         for a, b in ((prev, nxt), (prev, prev)):
-            field = flow.estimate_flow(a, b, alpha=alpha, iterations=iterations)
+            field = fine_sweeps(a, b, alpha, iterations)
             u, v = reference_estimate_flow(a, b, alpha, iterations)
             assert field.dtype == np.float32 and field.shape == (2, *shape)
             assert field[0].tobytes() == u.tobytes()
             assert field[1].tobytes() == v.tobytes()
 
 
-class TestPadColumns:
-    """The pad columns of the flat buffer carry don't-care values; with 0,
-    0, 0 and alpha^2 in ex, ey, et and denom there, they stay finite and
-    raise no floating-point error."""
+def hs_residual(uv, frame_prev, frame_next, alpha):
+    """Root mean square, in float64, of the residual of the Horn-Schunck
+    system that the fine sweeps iterate on:
+    alpha^2 (u_bar - u) - ex (ex u + ey v + et), and the same with ey."""
+    def pad(plane):
+        return np.pad(plane, 1, mode="edge")
 
-    @pytest.mark.parametrize("alpha", [0.5, 3.0])
-    @pytest.mark.parametrize("frames", ["random", "zeros", "ones", "identical"])
-    def test_no_float_errors(self, frames, alpha):
+    def neighbor_average(plane):
+        p = pad(plane)
+        cross = p[1:-1, 2:] + p[1:-1, :-2] + p[2:, 1:-1] + p[:-2, 1:-1]
+        diag = p[2:, 2:] + p[2:, :-2] + p[:-2, 2:] + p[:-2, :-2]
+        return cross / 6.0 + diag / 12.0
+
+    prev = np.asarray(frame_prev, np.float64) * 255.0
+    nxt = np.asarray(frame_next, np.float64) * 255.0
+    p, q = pad(prev), pad(nxt)
+    ex = 0.25 * (p[1:-1, 2:] - p[1:-1, :-2] + q[1:-1, 2:] - q[1:-1, :-2])
+    ey = 0.25 * (p[2:, 1:-1] - p[:-2, 1:-1] + q[2:, 1:-1] - q[:-2, 1:-1])
+    u, v = np.asarray(uv, np.float64)
+    data = ex * u + ey * v + (nxt - prev)
+    r_u = alpha ** 2 * (neighbor_average(u) - u) - ex * data
+    r_v = alpha ** 2 * (neighbor_average(v) - v) - ey * data
+    return float(np.sqrt(np.mean(r_u ** 2 + r_v ** 2)))
+
+
+def textured_pair(shape, shift, seed=3):
+    """A smooth random texture and the same texture moved by shift (px)."""
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    coarse = rng.random((h // 4 + 3, w // 4 + 3))
+    y, x = np.mgrid[0:h, 0:w] / 4.0
+
+    def sample(dx, dy):  # bilinear lookup of coarse at (x - dx, y - dy)
+        xs, ys = x - dx / 4.0 + 1.0, y - dy / 4.0 + 1.0
+        x0, y0 = np.floor(xs).astype(int), np.floor(ys).astype(int)
+        fx, fy = xs - x0, ys - y0
+        return ((1 - fy) * ((1 - fx) * coarse[y0, x0] + fx * coarse[y0, x0 + 1])
+                + fy * ((1 - fx) * coarse[y0 + 1, x0] + fx * coarse[y0 + 1, x0 + 1]))
+
+    return sample(0.0, 0.0).astype(np.float32), sample(*shift).astype(np.float32)
+
+
+def blobs_on_flat(shape, shift, seed=3):
+    """Six faint Gaussian blobs on a flat background, and the same moved by
+    shift (px): away from the blobs only the smoothness term sets the flow."""
+    h, w = shape
+    centers = np.random.default_rng(seed).random((6, 2)) * [h, w]
+
+    def frame(dx, dy):
+        return sum(gaussian_blob(h, w, cy + dy, cx + dx, sigma=2.5, amp=0.15)
+                   for cy, cx in centers)
+
+    return frame(0.0, 0.0), frame(*shift)
+
+
+class TestMultigrid:
+    """iterations counts V-cycles on the system the fine sweeps solve."""
+
+    # 45x61 halves to 23x31 and 12x16: odd sides at both restrictions. On
+    # the flat background the coarsest levels carry the flow across, which
+    # a coarsest level of 8x12 in four sweeps did not (0.05 px off)
+    @pytest.mark.parametrize("pair, shape", [(textured_pair, (48, 64)),
+                                             (textured_pair, (45, 61)),
+                                             (blobs_on_flat, (32, 48))],
+                             ids=["textured-48x64", "textured-45x61", "blobs-32x48"])
+    def test_reaches_the_fine_sweeps_fixed_point(self, pair, shape):
+        prev, nxt = pair(shape, (1.0, -0.5))
+        fixed = fine_sweeps(prev, nxt, flow.DEFAULT_ALPHA, 4000)
+        cycled = flow.estimate_flow(prev, nxt, iterations=8)
+        assert np.abs(cycled - fixed).mean() < 1e-3
+
+    @pytest.mark.parametrize("alpha", [1.0, flow.DEFAULT_ALPHA])
+    def test_each_cycle_lowers_the_residual(self, alpha):
+        prev, nxt = textured_pair((45, 61), (1.0, -0.5))
+        norms = [hs_residual(np.zeros((2, 45, 61)), prev, nxt, alpha)]
+        norms += [hs_residual(flow.estimate_flow(prev, nxt, alpha=alpha, iterations=cycles),
+                              prev, nxt, alpha) for cycles in range(1, 6)]
+        assert all(b < a for a, b in zip(norms, norms[1:])), norms
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.03, 0.1, 1.0])
+    def test_plane_wave_at_small_alpha_stays_bounded(self, alpha):
+        # every gradient points one way, so nothing but smoothness sets the
+        # flow along the wave's crests; with coarse weights down to
+        # 0.03^2 / 4^6 these cycles overflowed by the 8th
+        y, x = np.mgrid[0:192, 0:400].astype(np.float32)
+        prev = 0.5 + 0.4 * np.sin(0.3 * x + 0.2 * y)
+        nxt = 0.5 + 0.4 * np.sin(0.3 * (x - 1.0) + 0.2 * y)
+        with np.errstate(all="raise"):
+            uv = flow.estimate_flow(prev, nxt, alpha=alpha, iterations=12)
+        assert np.abs(uv).max() < 2.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (45, 61), (192, 400)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_identical_frames_give_exactly_zero(self, shape):
+        frame = np.random.default_rng(1).random(shape, dtype=np.float32)
+        assert not flow.estimate_flow(frame, frame).any()
+
+    def test_leaves_no_garbage_and_little_memory(self, synth_pair):
+        # every level's buffers are freed when the call returns, with no
+        # reference cycle left for the collector
+        prev, nxt = (frame.plane("Gr") for frame in synth_pair)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            flow.estimate_flow(prev, nxt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gc.collect() == 0
+        assert peak <= 5 * 2 ** 20
+
+
+class TestPadColumns:
+    """The pad columns of the flat buffers carry don't-care values; with 0,
+    0, 0 and alpha^2 in ex, ey, et and denom there, and J = 0 and r = 0 on
+    the coarse levels, they stay finite and raise no floating-point error,
+    whatever the shape and so the number of levels."""
+
+    @staticmethod
+    def check(frames, alpha, shape, cycles):
         rng = np.random.default_rng(9)
-        shape = (17, 23)
         prev, nxt = rng.random(shape, dtype=np.float32), rng.random(shape, dtype=np.float32)
         prev, nxt = {"random": (prev, nxt), "zeros": (np.zeros(shape), np.zeros(shape)),
                      "ones": (np.ones(shape), np.ones(shape)), "identical": (prev, prev)}[frames]
         with np.errstate(all="raise"):
-            u, v = flow.estimate_flow(prev, nxt, alpha=alpha, iterations=200)
+            u, v = flow.estimate_flow(prev, nxt, alpha=alpha, iterations=cycles)
         assert np.isfinite(u).all() and np.isfinite(v).all()
+
+    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    @pytest.mark.parametrize("frames", ["random", "zeros", "ones", "identical"])
+    def test_no_float_errors(self, frames, alpha):
+        self.check(frames, alpha, (17, 23), 200)
+
+    # 4x4 is the smallest frame with a coarse level
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (4, 4), (5, 7), (45, 61),
+                                       (3, 401), (192, 400)],
+                             ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    @pytest.mark.parametrize("frames", ["random", "zeros", "ones", "identical"])
+    def test_no_float_errors_at_any_shape(self, frames, alpha, shape):
+        self.check(frames, alpha, shape, 20 if shape == (192, 400) else 200)
 
 
 class TestFlowToChannels:
