@@ -234,8 +234,10 @@ def cmd_train(args) -> int:
                                      learning_rate=args.lr, momentum=args.momentum,
                                      seed=args.seed)
     train_config.validate()  # before the frames are read
-    # and the size ceilings before the weights are made
-    model.require_sizes(config, min(train_config.batch_size, manifest.patch_count))
+    # and the size ceilings before the weights are made, in the blocks that
+    # model.train will run
+    model.require_sizes(config, min(train_config.batch_size, manifest.patch_count),
+                        blocks=pipeline.blas_workers())
     net = model.build_model(config)
 
     paths = _manifest_frame_paths(manifest_path, manifest, args.frames)

@@ -72,12 +72,23 @@ COARSEST_SIZE = 3
 _MIN_COARSE_WEIGHT = float(np.finfo(np.float32).eps) * _BRIGHTNESS_SCALE ** 2
 
 
+# The alphas the solver carries in float32, with room to spare. Outside them
+# its field turned NaN: at alpha 1e-19 on an 8x8 zero pair with one bright
+# pixel (alpha^2 underflows), and at 1e18 on a 64x64 noise pair shifted by a
+# column (a coarse level's weight products overflow).
+MIN_ALPHA = 1e-4
+MAX_ALPHA = 1e4
+
+
 def check_flow_params(alpha: float = DEFAULT_ALPHA, iterations: int = DEFAULT_ITERATIONS,
                       clamp: float = DEFAULT_CLAMP) -> None:
     """Reject an alpha or clamp that is not positive and finite (NaN
-    included) and fewer than one iteration."""
+    included), an alpha outside [MIN_ALPHA, MAX_ALPHA] and fewer than one
+    iteration."""
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not MIN_ALPHA <= alpha <= MAX_ALPHA:
+        raise ValueError(f"alpha must be in [{MIN_ALPHA:g}, {MAX_ALPHA:g}], got {alpha}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if not 0 < clamp < math.inf:

@@ -106,11 +106,6 @@ class Frame:
         merged.update(extra)
         return Frame(merged)
 
-    def stack(self, channels: list[str] | None = None) -> np.ndarray:
-        """Stack the selected channels into an (H, W, C) array."""
-        names = channels if channels is not None else self.channel_names
-        return np.stack([self.plane(n) for n in names], axis=-1)
-
 
 # ---------------------------------------------------------------------------
 # MMF serialization
@@ -261,25 +256,6 @@ def patch_grid_shape(height: int, width: int, p: int, s: int) -> tuple[int, int]
     return (height - p) // s + 1, (width - p) // s + 1
 
 
-def _window_view(stacked: np.ndarray, p: int, s: int) -> np.ndarray:
-    """(rows, cols, p, p, C) strided view over an (H, W, C) array."""
-    windows = np.lib.stride_tricks.sliding_window_view(stacked, (p, p), axis=(0, 1))
-    return windows[::s, ::s].transpose(0, 1, 3, 4, 2)
-
-
-def extract_patches(frame: Frame, p: int, s: int,
-                    channels: list[str] | None = None) -> list[tuple[tuple[int, int], np.ndarray]]:
-    """All fully-inside p x p windows at stride s, with (row, col) origins.
-
-    Patches stack the requested channels (frame order by default) into
-    (p, p, C) arrays; count is ((H-p)//s + 1) * ((W-p)//s + 1).
-    """
-    rows, cols = patch_grid_shape(frame.height, frame.width, p, s)
-    windows = _window_view(frame.stack(channels), p, s)
-    return [((i * s, j * s), np.ascontiguousarray(windows[i, j]))
-            for i in range(rows) for j in range(cols)]
-
-
 class _DepthShift:
     """The patch grid's one depth shift, for frames of one size under a
     table of offsets; the constructor makes the patch grid's checks.
@@ -319,7 +295,8 @@ class _DepthShift:
     def keep(self, shifted: np.ndarray) -> np.ndarray:
         """(rows, cols) mask of the windows whose shifted depth has
         population variance >= tau."""
-        windows = _window_view(shifted[:, :, None], self.p, self.s)[..., 0]
+        windows = np.lib.stride_tricks.sliding_window_view(shifted, (self.p, self.p))
+        windows = windows[::self.s, ::self.s]
         rows, cols = windows.shape[:2]
         # var copies every window it reduces; the variances, and so the
         # mask, have the same bits in blocks of window rows
@@ -463,13 +440,13 @@ def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int
 class PatchTable:
     """Every kept window of a frame sequence as a (frame, offset class
     index, row, col) row over the frames' selected planes; table[idx]
-    gathers the rows idx selects as (..., p, p, C) float32 patches with
-    the bytes of patch_arrays(...)[0][idx].
+    gathers the rows idx selects as (..., p, p, C) float32 patches. It is
+    the one place in mmreg that cuts patches.
 
-    Rows run in patch_arrays order: frames in index order, offset classes
-    in table order, windows row-major. One pass of the keep masks, a frame
-    per bounded_map(worker_count()) call, copies each frame's selected
-    planes into one buffer and finds its rows. L is kept padded, with
+    Rows run frames in index order, offset classes in table order, windows
+    row-major. One pass of the keep masks, a frame per
+    bounded_map(worker_count()) call, copies each frame's selected planes
+    into one buffer and finds its rows. L is kept padded, with
     fill, by the largest |dy| and |dx| of the offsets, so each offset's
     shifted depth plane is a window of it; that is at most 9 planes'
     worth, since _DepthShift refuses offsets at or beyond the frame size.
@@ -552,33 +529,34 @@ class PatchTable:
         return out
 
 
-def patch_arrays(frames: Sequence[Frame], offsets: Sequence[OffsetClass], p: int, s: int,
-                 tau: float, fill: float = DEFAULT_FILL, channels: Sequence[str] | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every kept window as arrays: (n, p, p, C) float32 data, then int64
-    offset class ids, frame indices and (n, 2) (row, col) origins.
+def extract_patches(frame: Frame, p: int, s: int,
+                    channels: list[str] | None = None) -> list[tuple[tuple[int, int], np.ndarray]]:
+    """All fully-inside p x p windows at stride s, with (row, col) origins,
+    row-major: the rows of the frame's PatchTable under the aligned offset
+    at tau 0, which keeps every window (a variance is never negative).
 
-    Rows run frames in index order, offset classes in table order, windows
-    row-major: every row of the frames' PatchTable, gathered.
+    Patches stack the requested channels (frame order by default) into
+    (p, p, C) arrays; count is ((H-p)//s + 1) * ((W-p)//s + 1). The frame
+    needs an L plane, as every cutter of the patch grid does.
     """
-    if not frames:
-        raise ValueError("no frames to cut patches from")
-    if channels is not None and not channels:
-        raise ValueError("channel selection is empty")
-    sel = list(channels if channels is not None else frames[0].channel_names)
-    table = PatchTable(frames, len(frames), offsets, p, s, tau, fill, sel)
-    return (table[:], table.labels, np.ascontiguousarray(table.rows[:, 0]),
-            np.ascontiguousarray(table.rows[:, 2:]))
+    sel = channels if channels is not None else frame.channel_names
+    table = PatchTable([frame], 1, [OffsetClass(0, 0, 0)], p, s, 0.0, DEFAULT_FILL, sel)
+    return list(zip(map(tuple, table.rows[:, 2:].tolist()), table[:]))
 
 
 def iter_patch_samples(frames: Iterable[Frame], offsets: list[OffsetClass], p: int, s: int,
                        tau: float, fill: float = DEFAULT_FILL,
                        channels: list[str] | None = None) -> Iterator[PatchSample]:
-    """PatchSample views over the rows of patch_arrays, in its order."""
-    x, labels, frame_index, origins = patch_arrays(list(frames), offsets, p, s, tau, fill,
-                                                   channels)
-    return map(PatchSample, x, labels.tolist(), frame_index.tolist(),
-               map(tuple, origins.tolist()))
+    """PatchSample views over the rows of the frames' PatchTable, in its
+    order: frames in index order, offset classes in table order, windows
+    row-major."""
+    frames = list(frames)
+    if not frames:
+        raise ValueError("no frames to cut patches from")
+    sel = channels if channels is not None else frames[0].channel_names
+    table = PatchTable(frames, len(frames), offsets, p, s, tau, fill, sel)
+    return map(PatchSample, table[:], table.labels.tolist(), table.rows[:, 0].tolist(),
+               map(tuple, table.rows[:, 2:].tolist()))
 
 
 def build_dataset(frames: list[Frame], offsets: list[OffsetClass], p: int, s: int,

@@ -1,7 +1,8 @@
 """Shared test oracles: central finite differences and error measures,
 networks cast to another precision, the forward pass as first written,
-one frame's patch grid under one offset as first written, the traced
-memory peak of a block, and the background error of a synth flow field."""
+one frame's patch grid under one offset and its whole-frame window list
+as first written, the traced memory peak of a block, and the background
+error of a synth flow field."""
 
 import tracemalloc
 from contextlib import contextmanager
@@ -133,10 +134,27 @@ def shift_plane(plane, dx, dy, fill):
     return out
 
 
+def stack_planes(frame, names=None):
+    """The named planes of a frame (all, in frame order, by default) as one
+    (H, W, C) array, as Frame.stack made it."""
+    names = names if names is not None else frame.channel_names
+    return np.stack([frame.plane(n) for n in names], axis=-1)
+
+
 def old_window_view(stacked, p, s):
     """(rows, cols, p, p, C) strided view over an (H, W, C) array."""
     windows = np.lib.stride_tricks.sliding_window_view(stacked, (p, p), axis=(0, 1))
     return windows[::s, ::s].transpose(0, 1, 3, 4, 2)
+
+
+def old_extract_patches(frame, p, s, channels=None):
+    """pipeline.extract_patches as it was before it read a PatchTable: one
+    stacked array, a window view over it and a copy of every window, with
+    (row, col) origins in row-major order."""
+    windows = old_window_view(stack_planes(frame, channels), p, s)
+    rows, cols = windows.shape[:2]
+    return [((i * s, j * s), np.ascontiguousarray(windows[i, j]))
+            for i in range(rows) for j in range(cols)]
 
 
 def old_frame_patches(frame, offset, channels, p, s, tau, fill):

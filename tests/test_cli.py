@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import re
 import resource
@@ -16,6 +17,7 @@ import pytest
 import mmreg
 from mmreg import cli, evaluation, model, nn, pipeline, synth
 from mmreg.cli import main, parse_channels
+from mmreg.offsets import generate_offsets
 from mmreg.pipeline import Frame, read_frame, read_manifest, write_frame
 from helpers import traced_peak
 
@@ -271,6 +273,80 @@ class TestThreadCountDeterminism:
         assert trees[2] == trees[0]
 
 
+# sha256 of every file the chain in TestChainPinned writes. Recorded with
+# numpy 2.4 and its bundled OpenBLAS 0.3.31 on x86-64; another BLAS build may
+# round differently. A change to the flow field changes them by design.
+CHAIN_PINS = {
+    "raw/frame_00000.mmf": "b0733b83bd813b3b32b7eec17703482ae322f32679e6c4b1d88ae9cf1cd96048",
+    "raw/frame_00001.mmf": "cc0a6e638df564874df21d2f73afd0a6cdb27d98a869bd1ca01fdfbcef64c685",
+    "raw/frame_00002.mmf": "3086fb91a0fe0e6c2e7c40264d3dda5015596400c9f127bfacfbfc99f7865d60",
+    "raw/frame_00003.mmf": "7fe6049ccdee9baf7710f4ac841e328418c4970c3481da529379cba3cfa2fe22",
+    "raw/run_config.txt": "d5eeb2933d7f0f68765618990028369a1eee178c0504c1844bf6000676c71b9c",
+    "flowed/frame_00000.mmf": "4ffc25bb0c36a74b72a724ff7bc2a4621db0bc20b8824e61e9080e4ecef611a7",
+    "flowed/frame_00001.mmf": "026ef58c4de05a201b14d73f51360217e760923fc49d5da21823efd68aca9eaf",
+    "flowed/frame_00002.mmf": "0b28e7c11359d985a08c6b47c92e2b9e54d3efd9ed38ae6ebd32ea33cd9b298b",
+    "flowed/frame_00003.mmf": "ad4e6a028b5dea7c4813df45684c670ad55bfaef91f72e374b0bb5233c7efefa",
+    "flowed/run_config.txt": "20fec699f228fe19dd52aa556d0629aae92bfee95718dab770c8816ec43e8692",
+    "ds32/manifest.txt": "9db7a31ee849ae5d4850b1182be12c4c8b85416053ccb65e86ddb080ec79061c",
+    "ds32/run_config.txt": "0e4657c130e7432093039e422efc183528675f5bda0898037e2083309b7ed446",
+    "ds4/manifest.txt": "4446855b42a436bcd1ed79f2fd25254573a9c83b28c75e72cf8b53ee4607012c",
+    "ds4/run_config.txt": "4155995d6e5ee19d3afc973cddeea62a7fd708bff36be30e40cdb1662530db5c",
+    "run/checkpoint.mmrc": "e3e46df00d5c14330df4c15af1af4efa76983bab151f8a6f620740e02208cd0c",
+    "run/loss.csv": "9ee334352082d741cf052eb5d3ae1b99344442b354f64fa78d5ef1be456860be",
+    "run/run_config.txt": "7e2f9725fec48ba0e2860a372e87384427e77840717ef00677d7893f4a02a4f1",
+    "report/confusion_heatmap.ppm":
+        "019638c5241374e96f6fa14dc4392bf82242a09fab4a41a566465d14941999d9",
+    "report/image_confusion.csv":
+        "4e860f2e9b73f1685b710748bd481985e491f93a03f6f093508c7137413c8d43",
+    "report/patch_confusion.csv":
+        "4956a405e9e041264174d24fa7841ef8debe01d8d20699dc64a3a82dd44daaf1",
+    "report/patch_map_class0.ppm":
+        "3c53adbe091f23829bf6d7358417cb6fa657169b434cc41de641855e7be9f558",
+    "report/patch_map_class1.ppm":
+        "e4ff56524d4e2fe17cae7c20454b603188902b4dbe3967352cc6ab32050b1565",
+    "report/patch_map_class2.ppm":
+        "fadb3daab763d109449a578b674fb8ed7802610c684294cab111a95a2148f3ea",
+    "report/patch_map_class3.ppm":
+        "22e0636531e99a7bbbd92e43e4b5e18faa978bbcf62b3c71b8fa57c342f8bfe1",
+    "report/patch_map_class4.ppm":
+        "4680b414b2f658c7dfea325fa0823ea7160af97f8c4127d09c24b6f276986cc4",
+    "report/patch_map_class5.ppm":
+        "2fb99e395f1d907f1732bd05662423a0acc8672d2beaf956ea880aa690fd5a08",
+    "report/patch_map_class6.ppm":
+        "8c326fe8ba82fefe5faf4fc3d4bfe93760ab669a86146858df26742e1fceeaef",
+    "report/patch_map_class7.ppm":
+        "5bae43d47883b97ed41501817b80404ba94261acf0545cf0b3680516220e2bda",
+    "report/patch_map_class8.ppm":
+        "e1745044785cfb0a409db66d989df3d68c87dafa52397479f07eb67dfcc0d0c2",
+    "report/run_config.txt": "51c421ea7955e0708fe45bc0dfbe060808f3137d0122c6b1013fc871359f89d6",
+    "report/summary.csv": "4942554b7614d7920460027d3dfc841c8b7dbf9b696ae802b2089032f00df4ba",
+    "report/temporal.csv": "3972fe8815a5aadf897b516a25bbf1b6b70f1bdc38b0f74d8316f1b2724fa57b",
+}
+
+
+class TestChainPinned:
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_every_output_byte_pinned(self, tmp_path, monkeypatch, threads):
+        # the whole CLI chain at its defaults, in-process. Paths are relative
+        # to the run's directory, so run_config.txt is the same text in any
+        # directory; one BLAS thread gives training 1 or 3 patch blocks
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MMREG_THREADS", threads)
+        assert run("synth", "--out", "raw", "--frames", 4, "--width", 400, "--height", 192,
+                   "--seed", 7, "--objects", 20) == 0
+        assert run("flow", "--in-dir", "raw", "--out", "flowed") == 0
+        assert run("dataset", "--in-dir", "flowed", "--out", "ds32", "--s", 32) == 0
+        assert run("dataset", "--in-dir", "flowed", "--out", "ds4", "--s", 4) == 0
+        assert run("train", "--dataset", "ds32/manifest.txt", "--out", "run",
+                   "--epochs", 1) == 0
+        assert run("eval", "--checkpoint", "run/checkpoint.mmrc", "--dataset",
+                   "ds32/manifest.txt", "--k-list", "1,2,4", "--out", "report") == 0
+        digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.rglob("*") if p.is_file()}
+        assert digests == CHAIN_PINS
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     """synth -> flow -> dataset artifacts shared by the train/eval tests."""
@@ -438,6 +514,9 @@ NON_FINITE_CASES = {
     "dataset-rot-inf": ("dataset", ("--rot", "inf"), "rotation must be finite, got inf"),
     "flow-alpha-nan": ("flow", ("--alpha", "nan"), "alpha must be positive and finite, got nan"),
     "flow-alpha-inf": ("flow", ("--alpha", "inf"), "alpha must be positive and finite, got inf"),
+    # finite, but beyond what the flow solver carries in float32
+    "flow-alpha-1e18": ("flow", ("--alpha", "1e18"),
+                        re.escape("alpha must be in [0.0001, 10000], got 1e+18")),
     "flow-clamp-nan": ("flow", ("--clamp", "nan"), "clamp must be positive and finite, got nan"),
     "train-lr-nan": ("train", ("--lr", "nan"), "learning rate must be finite and >= 0, got nan"),
     "train-lr-inf": ("train", ("--lr", "inf"), "learning rate must be finite and >= 0, got inf"),
@@ -445,7 +524,8 @@ NON_FINITE_CASES = {
 
 
 class TestNonFiniteFlags:
-    """A non-finite flag value fails its subcommand before anything is written."""
+    """A non-finite flag value, or an alpha the flow solver cannot carry,
+    fails its subcommand before anything is written."""
 
     @pytest.mark.parametrize("case", list(NON_FINITE_CASES))
     def test_rejected_before_output(self, small_corpus, tmp_path, capsys, case):
@@ -785,6 +865,27 @@ class TestSizeCeilings:
         assert re.search(match, err), err
         assert not (tmp_path / "out").exists()
         assert traced.peak < 8 << 20
+
+    def test_batch_cap_checked_in_trainings_blocks_before_frames(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the default net's training buffers fit batches of 2,600 in one
+        # block but not in the two that one BLAS thread and MMREG_THREADS=2
+        # give training; the frames the manifest names do not exist
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MMREG_THREADS", "2")
+        manifest = pipeline.DatasetManifest(
+            patch_size=32, stride=32, channels=["Gr", "L", "U", "V"],
+            offsets=generate_offsets(9, 32, 16, 45.0), tau=0.0, fill=0.0, seed=0,
+            frames_dir=str(tmp_path / "nowhere"), frame_files=["a.mmf", "b.mmf"],
+            frame_count=2, patch_count=2600)
+        pipeline.write_manifest(manifest, tmp_path / "manifest.txt")
+        code = run("train", "--dataset", tmp_path / "manifest.txt", "--batch", 2600,
+                   "--out", tmp_path / "out")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training buffers for batches of 2600 take \d+ bytes, "
+                            r"over the 2147483648-byte cap; lower the batch size\n", err), err
+        assert not (tmp_path / "out").exists()
 
 
 class TestMemoryBackstop:

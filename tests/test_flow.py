@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -297,6 +298,50 @@ class TestMultigrid:
             tracemalloc.stop()
         assert gc.collect() == 0
         assert peak <= 5 * 2 ** 20
+
+
+def bright_pixel_pair():
+    """An 8x8 zero frame and the same with one bright pixel."""
+    prev = np.zeros((8, 8), np.float32)
+    nxt = prev.copy()
+    nxt[3, 4] = 1.0
+    return prev, nxt
+
+
+def noise_pair():
+    """64x64 noise and the same noise moved one column left."""
+    noise = np.random.default_rng(0).random((64, 65), dtype=np.float32)
+    return noise[:, :64], noise[:, 1:]
+
+
+def out_of_range(alpha):
+    return re.escape(f"alpha must be in [0.0001, 10000], got {alpha}")
+
+
+class TestAlphaRange:
+    """Alphas outside [MIN_ALPHA, MAX_ALPHA] are refused; these values
+    gave NaN flow, with only RuntimeWarnings, when they were taken."""
+
+    @pytest.mark.parametrize("alpha", [1e-30, 1e-22, 1e-19, 5e-19])
+    def test_small_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match=out_of_range(alpha)):
+            flow.estimate_flow(*bright_pixel_pair(), alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e18, 1e19, 1.8e19])
+    def test_large_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match=out_of_range(alpha)):
+            flow.estimate_flow(*noise_pair(), alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [flow.MIN_ALPHA, 1e-3, 1e3, flow.MAX_ALPHA])
+    def test_alphas_in_range_stay_finite(self, alpha, synth_pair):
+        y, x = np.mgrid[0:48, 0:80].astype(np.float32)
+        wave = [0.5 + 0.4 * np.sin(0.3 * (x - shift) + 0.2 * y) for shift in (0, 1)]
+        pairs = [bright_pixel_pair(), noise_pair(), wave,
+                 [frame.plane("Gr") for frame in synth_pair]]
+        for prev, nxt in pairs:
+            with np.errstate(all="raise", under="ignore"):
+                uv = flow.estimate_flow(prev, nxt, alpha=alpha, iterations=12)
+            assert np.isfinite(uv).all()
 
 
 class TestPadColumns:

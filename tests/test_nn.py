@@ -388,6 +388,30 @@ class TestMaxPoolReluBackward:
         want = nn.relu_backward(z, nn.maxpool2x2_backward(idx, upstream))
         assert nn.maxpool2x2_relu_backward(idx, upstream, z).tobytes() == want.tobytes()
 
+    def test_central_differences(self):
+        # the gradient of sum(upstream * pooled) through relu_inplace and
+        # maxpool2x2_forward, as training runs them, in float64. Distinct
+        # magnitudes at least 1/n apart, no zero, and a positive value in
+        # every window: no window ties, and no step of h crosses the kink
+        rng = np.random.default_rng(63)
+        shape = (2, 4, 6, 3)
+        n = np.prod(shape)
+        z = (rng.permutation(n) + 1.0) / n * rng.choice([-1.0, 1.0], size=n)
+        windows = z.reshape(2, 2, 2, 3, 2, 3)  # (b, row, dy, col, dx, c)
+        windows[:, :, 0, :, 0] = np.abs(windows[:, :, 0, :, 0])
+        z = z.reshape(shape)
+        upstream = rng.standard_normal((2, 2, 3, 3))
+
+        def loss(z_):
+            return float(np.sum(nn.maxpool2x2_forward(nn.relu_inplace(z_.copy()))[0] * upstream))
+
+        a = nn.relu_inplace(z.copy())
+        _, idx = nn.maxpool2x2_forward(a)
+        analytic = nn.maxpool2x2_relu_backward(idx, upstream, a)
+        assert np.count_nonzero(analytic) == upstream.size
+        # acceptance criterion 1's bound
+        assert max_rel_error(analytic, central_diff_grad(loss, z)) < 1e-4
+
     def test_window_example(self):
         # a window with its max at position 3, and a NaN window (index 3)
         z = np.array([[1.0, -2.0], [-0.0, 4.0], [3.0, 0.0], [5.0, np.nan]]).reshape(1, 4, 2, 1)

@@ -14,7 +14,8 @@ from mmreg.pipeline import (DatasetManifest, FormatError, Frame, PatchSample,
                             iter_patch_samples, read_frame, read_manifest,
                             rgb_to_gray, write_frame, write_manifest)
 from mmreg.synth import SceneConfig, generate_sequence
-from helpers import old_frame_patches, old_window_view, shift_plane, traced_peak
+from helpers import (old_extract_patches, old_frame_patches, old_window_view, shift_plane,
+                     stack_planes, traced_peak)
 
 
 def random_frame(rng, height=16, width=20, names=("R", "G", "B", "L")):
@@ -229,7 +230,7 @@ class TestApplyOffset:
         rng = np.random.default_rng(6)
         frame = random_frame(rng)
         out = shifted_stack(frame, OffsetClass(0, 0, 0))
-        np.testing.assert_array_equal(out, frame.stack())
+        np.testing.assert_array_equal(out, stack_planes(frame))
 
     def test_hot_pixel_moves(self):
         l_plane = np.zeros((4, 4), dtype=np.float32)
@@ -290,7 +291,7 @@ class TestExtractPatches:
         assert len(patches) == 1
         origin, data = patches[0]
         assert origin == (0, 0)
-        np.testing.assert_array_equal(data, frame.stack())
+        np.testing.assert_array_equal(data, stack_planes(frame))
 
     def test_count_formula_randomized(self):
         rng = np.random.default_rng(13)
@@ -312,6 +313,31 @@ class TestExtractPatches:
         _, first = patches[0]
         np.testing.assert_array_equal(first[:, :, 0], frame.plane("L")[:4, :4])
         np.testing.assert_array_equal(first[:, :, 1], frame.plane("R")[:4, :4])
+
+    def test_same_bytes_as_old_construction(self):
+        # frames with an L plane and 1 to 7 planes in all; p from 1, strides
+        # up to past p, channel subsets in any order, some planes constant
+        rng = np.random.default_rng(27)
+        names = list(pipeline.CHANNEL_IDS)
+        for trial in range(120):
+            h, w = (int(v) for v in rng.integers(4, 81, size=2))
+            present = ["L"] + list(rng.choice([n for n in names if n != "L"],
+                                              size=int(rng.integers(0, 7)), replace=False))
+            planes = {n: rng.random((h, w), dtype=np.float32) for n in present}
+            for n in present:
+                if rng.random() < 0.25:
+                    planes[n][...] = rng.choice([0.0, 1.0, float(rng.random())])
+            frame = Frame(planes)
+            p = int(rng.integers(1, min(h, w) + 1)) if trial % 4 else 1
+            s = int(rng.integers(1, p + 5))
+            channels = None
+            if trial % 3:
+                channels = list(rng.permutation(present)[:int(rng.integers(1, len(present) + 1))])
+            new = extract_patches(frame, p, s, channels)
+            old = old_extract_patches(frame, p, s, channels)
+            assert [o for o, _ in new] == [o for o, _ in old]
+            assert all(a.shape == b.shape and a.dtype == b.dtype == np.float32
+                       and a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(new, old))
 
     def test_oversized_patch_rejected(self):
         rng = np.random.default_rng(15)
@@ -344,7 +370,7 @@ class TestVarianceKeep:
             monkeypatch.setattr(pipeline, "_KEEP_BLOCK_BYTES", block_bytes)
         plane = np.random.default_rng(25).random((256, 800), dtype=np.float32)
         shift = pipeline._DepthShift(256, 800, [OffsetClass(0, 0, 0)], 32, stride, 0.0, 0.0)
-        variances = pipeline._window_view(plane[:, :, None], 32, stride)[..., 0].var(axis=(2, 3))
+        variances = old_window_view(plane[:, :, None], 32, stride)[..., 0].var(axis=(2, 3))
         ordered = np.sort(variances, axis=None)
         for tau in ordered[[0, ordered.size // 3, ordered.size // 2, -1]]:
             shift.tau = tau
@@ -431,7 +457,7 @@ class TestBuildDataset:
 def old_frame_samples(frame_index, frame, offsets, p, s, tau, fill, sel):
     """The per-cell sample loop of iter_patch_samples before the patch grid,
     kept as the reference that the grid must reproduce bit for bit."""
-    static = frame.stack([c for c in sel if c != "L"])
+    static = stack_planes(frame, [c for c in sel if c != "L"])
     static_cols = [i for i, c in enumerate(sel) if c != "L"]
     l_col = sel.index("L") if "L" in sel else None
     l_plane = frame.plane("L")
@@ -500,11 +526,16 @@ class TestPatchGridOracle:
             monkeypatch.setenv("MMREG_THREADS", threads)
             counts = pipeline.patch_counts((frame for frame in frames), offsets, p, s, tau, fill)
             assert counts.dtype == np.int64 and counts.tolist() == old_counts
-            x, labels, index, origins = pipeline.patch_arrays(frames, offsets, p, s, tau, fill,
-                                                              sel)
-            assert x.tobytes() == old_x.tobytes() and labels.tobytes() == old_y.tobytes()
-            assert index.tobytes() == old_index.tobytes()
-            assert origins.tobytes() == old_origins.tobytes()
+            table = pipeline.PatchTable(iter(frames), len(frames), offsets, p, s, tau, fill, sel)
+            assert table[:].tobytes() == old_x.tobytes()
+            assert table.labels.tobytes() == old_y.tobytes()
+            assert table.rows[:, 0].tobytes() == old_index.tobytes()
+            assert table.rows[:, 2:].tobytes() == old_origins.tobytes()
+            samples = list(iter_patch_samples(frames, offsets, p, s, tau, fill, sel))
+            assert np.stack([a.data for a in samples]).tobytes() == old_x.tobytes()
+            assert np.array([a.label for a in samples]).tobytes() == old_y.tobytes()
+            assert np.array([a.frame_index for a in samples]).tobytes() == old_index.tobytes()
+            assert np.array([a.origin for a in samples]).tobytes() == old_origins.tobytes()
         # each (frame, offset) run of the table, as evaluate_run classifies it
         table = pipeline.PatchTable(iter(frames), len(frames), offsets, p, s, tau, fill, sel)
         for i, frame in enumerate(frames):
