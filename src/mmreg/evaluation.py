@@ -19,13 +19,12 @@ from __future__ import annotations
 import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Network, predict_batch, require_channels
+from .model import Network, predict_batch
 from .offsets import OffsetClass
 from .pipeline import Frame, PatchTable, blas_workers, bounded_map, patch_grid_shape
 
@@ -125,9 +124,9 @@ def evaluate_run(net: Network, frames: Iterable[Frame], frame_count: int,
     """Classify every surviving patch of every frame under every offset and
     count the votes in votes[offset, frame, class].
 
-    frames may be a stream of exactly frame_count frames of one size; they
-    are cut into one PatchTable, which keeps their selected planes and no
-    frame, and each (offset, frame) pair classifies one run of its rows.
+    frames may be a stream of exactly frame_count frames, cut into one
+    PatchTable that checks each frame's size and channels and keeps no
+    frame; each (offset, frame) pair classifies the run of rows it counts.
 
     Every report number is a reduction of that array: the patch matrix sums
     it over frames, the image matrix and the no-decision count come from
@@ -152,21 +151,11 @@ def evaluate_run(net: Network, frames: Iterable[Frame], frame_count: int,
     for k in k_values:
         if not 1 <= k <= frame_count:
             raise ValueError(f"temporal window {k} outside [1, {frame_count}] frames")
-    frames = iter(frames)
-    first = next(frames, None)
-    if first is None:
-        raise ValueError("no frames to evaluate")
-    require_channels(net.config.channels, first.channel_names)
-    size = first.height, first.width
-    frames = chain(iter([first]), frames)  # holds no frame once it is pulled
-    del first
-
     p = net.config.patch_size
     table = PatchTable(frames, frame_count, offsets, p, stride, tau, fill, net.config.channels)
-    # rows run by frame, then offset class: pair (offset j, frame i) is run i * n_classes + j
-    bounds = np.searchsorted(table.rows[:, 0] * n_classes + table.rows[:, 1],
-                             np.arange(frame_count * n_classes + 1))
-    runs = {(j, i): slice(bounds[i * n_classes + j], bounds[i * n_classes + j + 1])
+    # rows run by frame, then offset class: pair (offset j, frame i) ends at ends[i, j]
+    ends = np.cumsum(table.counts).reshape(table.counts.shape)
+    runs = {(j, i): slice(ends[i, j] - table.counts[i, j], ends[i, j])
             for j in range(n_classes) for i in range(frame_count)}
     votes = np.zeros((n_classes, frame_count, n_classes), dtype=np.int64)  # [offset, frame, class]
     patch_maps: dict[int, np.ndarray] = {}
@@ -180,7 +169,7 @@ def evaluate_run(net: Network, frames: Iterable[Frame], frame_count: int,
         for ((j, i), run), ids in zip(runs.items(), results):
             votes[j, i] = vote_frame(ids, n_classes)
             if i == 0:
-                grid = np.full(patch_grid_shape(*size, p, stride), -1, dtype=np.int64)
+                grid = np.full(patch_grid_shape(*table.frame_size, p, stride), -1, np.int64)
                 grid[tuple((table.rows[run, 2:] // stride).T)] = ids
                 patch_maps[j] = grid
 

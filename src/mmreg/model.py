@@ -13,13 +13,12 @@ import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import nn
 from .pipeline import (CHANNEL_IDS, KEY_VALUE_MAX_BYTES, FormatError, blas_workers, decode_text,
-                       parse_key_values, quoted, quoted_int)
+                       parse_key_values, quoted, quoted_int, require_channels)
 
 CHECKPOINT_MAGIC = b"MMRC"
 CHECKPOINT_VERSION = 1
@@ -552,11 +551,3 @@ def load_checkpoint(path) -> Network:
             param[...] = values.reshape(param.shape)
             offset += param.size * 4
     return net
-
-
-def require_channels(model_channels: Sequence[str], available: Sequence[str]) -> None:
-    """Reject inference when the data cannot supply the model's channel stack."""
-    missing = [c for c in model_channels if c not in available]
-    if missing:
-        raise ValueError(f"channel mismatch: model needs {list(model_channels)}, "
-                         f"data provides {list(available)} (missing {missing})")

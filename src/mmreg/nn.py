@@ -30,7 +30,11 @@ Array = np.ndarray
 # normals per he_init draw: 512 KiB of float64
 HE_INIT_CHUNK = 1 << 16
 # bytes of rebuilt im2col rows per GEMM of conv2d_backward's kernel
-# gradient, when the forward's rows are not passed
+# gradient, when the forward's rows are not passed. It holds bits too: when
+# all k kernel rows fit, they go in one GEMM, which keeps the rebuilt
+# stage-0 gradient (4 input channels) bit-equal to the kept-rows GEMM at
+# small batches; one GEMM per kernel row falls onto OpenBLAS's
+# small-matrix path at batch 1 and rounds otherwise
 _KERNEL_GRAD_CHUNK_BYTES = 8 << 20
 
 
@@ -220,7 +224,9 @@ def conv2d_forward_reference(x: Array, params: ConvParams) -> Array:
 def _kernel_rows_per_chunk(row_bytes: int, k: int) -> int:
     """Kernel rows per GEMM of conv2d_backward's rebuilt kernel gradient,
     when one kernel row's im2col rows take row_bytes: as many as fit
-    _KERNEL_GRAD_CHUNK_BYTES, at least one and at most k."""
+    _KERNEL_GRAD_CHUNK_BYTES, at least one and at most k. The budget holds
+    bits too: when all k rows fit, one GEMM keeps the gradient bit-equal to
+    the kept-rows GEMM, where one per kernel row rounds otherwise at batch 1."""
     return max(1, min(k, _KERNEL_GRAD_CHUNK_BYTES // max(row_bytes, 1)))
 
 

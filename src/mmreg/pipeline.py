@@ -437,6 +437,15 @@ def patch_counts(frames: Iterable[Frame], offsets: Sequence[OffsetClass], p: int
     return np.array(rows, dtype=np.int64).reshape(-1, len(offsets))
 
 
+def require_channels(needed: Sequence[str], available: Sequence[str], frame: int = 0) -> None:
+    """Reject a channel stack the data cannot supply, naming frames after the first."""
+    missing = [c for c in needed if c not in available]
+    if missing:
+        where = f"frame {frame}: " if frame else ""
+        raise ValueError(f"{where}channel mismatch: model needs {list(needed)}, "
+                         f"data provides {list(available)} (missing {missing})")
+
+
 class PatchTable:
     """Every kept window of a frame sequence as a (frame, offset class
     index, row, col) row over the frames' selected planes; table[idx]
@@ -444,18 +453,19 @@ class PatchTable:
     the one place in mmreg that cuts patches.
 
     Rows run frames in index order, offset classes in table order, windows
-    row-major. One pass of the keep masks, a frame per
-    bounded_map(worker_count()) call, copies each frame's selected planes
+    row-major, counts[i, j] of them frame i's under offset class j. One
+    pass of the keep masks, a frame per bounded_map(worker_count()) call,
+    checks each frame's size and selected channels, copies those planes
     into one buffer and finds its rows. L is kept padded, with
     fill, by the largest |dy| and |dx| of the offsets, so each offset's
     shifted depth plane is a window of it; that is at most 9 planes'
     worth, since _DepthShift refuses offsets at or beyond the frame size.
     The table has the shape, ndim and dtype of the patch array, so
     model.train takes it in place of one; evaluate_run classifies its
-    (frame, offset class) runs of rows.
+    (frame, offset class) runs of rows and maps them at frame_size (h, w).
 
-    frames may be a stream of exactly frame_count frames of one size, of
-    which bounded_map holds 2 * worker_count() at most.
+    frames may be a stream of exactly frame_count frames, of which
+    bounded_map holds 2 * worker_count() at most.
     """
 
     def __init__(self, frames: Iterable[Frame], frame_count: int,
@@ -484,6 +494,7 @@ class PatchTable:
             if (frame.height, frame.width) != (h, w):
                 raise ValueError(f"frame {index} is {frame.width}x{frame.height}, "
                                  f"frame 0 {w}x{h}")
+            require_channels(channels, frame.channel_names, index)
             planes = self._planes[index]
             for k, name in enumerate(static):
                 planes[k * h * w:(k + 1) * h * w].reshape(h, w)[...] = frame.plane(name)
@@ -494,14 +505,16 @@ class PatchTable:
             rows[:, 0] = index
             rows[:, 1] = np.repeat(np.arange(len(found)), counts)
             rows[:, 2:] = np.concatenate(found) * s
-            return rows
+            return rows, counts
 
-        rows = list(bounded_map(take, zip(range(frame_count), frames), worker_count()))
+        taken = list(bounded_map(take, zip(range(frame_count), frames), worker_count()))
         more = next(frames, None) is not None  # and a spent generator drops its last frame
-        if len(rows) != frame_count or more:
-            raise ValueError(f"{len(rows) + more}{' or more' * more} frames to cut patches "
+        if len(taken) != frame_count or more:
+            raise ValueError(f"{len(taken) + more}{' or more' * more} frames to cut patches "
                              f"from, not {frame_count}")
-        self.rows = np.concatenate(rows)
+        self.frame_size = h, w
+        self.counts = np.array([counts for _, counts in taken], dtype=np.int64)
+        self.rows = np.concatenate([rows for rows, _ in taken])
         self.labels = np.array([offset.id for offset in offsets], dtype=np.int64)[self.rows[:, 1]]
         self.shape = (len(self.rows), p, p, len(channels))
         self.ndim, self.dtype = 4, self._planes.dtype

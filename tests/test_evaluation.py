@@ -368,21 +368,28 @@ class TestEvaluateRun:
             evaluate_run(net, frames, n, table, k_values=[1], stride=32, tau=0.0)
 
     @pytest.mark.parametrize("case", ["count-above", "count-below", "count-zero", "no-frames",
-                                      "mixed-sizes", "k-above-count"])
+                                      "mixed-sizes", "later-frame-lacks-channel",
+                                      "k-above-count"])
     def test_stream_contract(self, case):
-        # frames is a stream of exactly frame_count frames of one size
+        # frames is a stream of exactly frame_count frames of one size, each
+        # with the model's channels
         net, frames, _, offsets = make_eval_fixture(n_frames=3)
         if case == "mixed-sizes":
             frames[2] = Frame({name: np.zeros((96, 161), np.float32)
                                for name in frames[0].channel_names})
+        if case == "later-frame-lacks-channel":
+            frames[2] = Frame({"L": frames[2].plane("L")})
         if case == "no-frames":
             frames = []
         count, k, match = {
             "count-above": (4, 1, "3 frames to cut patches from, not 4"),
             "count-below": (2, 1, "3 or more frames to cut patches from, not 2"),
             "count-zero": (0, 1, "no frames to evaluate"),
-            "no-frames": (3, 1, "no frames to evaluate"),
+            "no-frames": (3, 1, "no frames to cut patches from"),
             "mixed-sizes": (3, 1, "frame 2 is 161x96, frame 0 160x96"),
+            "later-frame-lacks-channel": (3, 1, re.escape("frame 2: channel mismatch: model "
+                                                          "needs ['Gr', 'L'], data provides "
+                                                          "['L'] (missing ['Gr'])")),
             "k-above-count": (2, 3, re.escape("temporal window 3 outside [1, 2] frames")),
         }[case]
         pulled = []

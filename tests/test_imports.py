@@ -119,6 +119,30 @@ def test_only_patch_grid_shifts_depth():
     assert makers == {"patch_counts", "PatchTable"}
 
 
+def test_only_the_patch_table_and_cli_peek_rejoin_a_first_frame():
+    """One peek per stream: PatchTable.__init__ takes its frame size from
+    the first frame, and cli._peek_frames the manifest's size and channels;
+    only they put that frame back, as chain(iter([first]), rest). Every
+    other frame stream goes straight into the table."""
+    rejoiners = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [(node.name, node) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        functions += [(f"{node.name}.{member.name}", member)
+                      for node in tree.body if isinstance(node, ast.ClassDef)
+                      for member in node.body
+                      if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for name, node in functions:
+            if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                   and sub.func.id == "chain" and sub.args
+                   and isinstance(sub.args[0], ast.Call)
+                   and isinstance(sub.args[0].func, ast.Name) and sub.args[0].func.id == "iter"
+                   for sub in ast.walk(node)):
+                rejoiners.add(name)
+    assert rejoiners == {"PatchTable.__init__", "_peek_frames"}
+
+
 def test_traced_names_exist():
     """benchmarks/tracing.py wraps mmreg attributes by name, as
     wrap(module, "name", ...) or wrap_generator(module, "name", ...)."""

@@ -613,6 +613,33 @@ class TestPatchTable:
             pipeline.PatchTable([frames[0], wide], 2, offsets, 6, 4, 0.0, 0.0, ["Gr", "L"])
         with pytest.raises(ValueError, match="2 frames to cut patches from, not 3"):
             pipeline.PatchTable(frames[:2], 3, offsets, 6, 4, 0.0, 0.0, ["Gr", "L"])
+        no_gr = Frame({n: frames[1].plane(n) for n in ("R", "L")})
+        with pytest.raises(ValueError, match=re.escape("frame 1: channel mismatch")):
+            pipeline.PatchTable([frames[0], no_gr], 2, offsets, 6, 4, 0.0, 0.0, ["Gr", "L"])
+
+    @pytest.mark.parametrize("s", [32, 12])  # at 12 the 32x32 windows overlap
+    def test_counts_are_patch_counts(self, monkeypatch, s):
+        # a manifest's patch_count sums patch_counts, and train and eval read
+        # the table's rows: both must come from one grid
+        rng = np.random.default_rng(29)
+        frames = []
+        for _ in range(3):
+            planes = {n: rng.random((96, 160), dtype=np.float32) for n in ("Gr", "L")}
+            planes["L"][20:70, 30:120] = 0.4  # flat depth, so tau drops some windows
+            frames.append(Frame(planes))
+        offsets = generate_offsets(9, 32, 16, 45.0)
+        tau = pipeline.DEFAULT_TAU
+        monkeypatch.setenv("MMREG_THREADS", "2")
+        counts = pipeline.patch_counts(iter(frames), offsets, 32, s, tau, 0.0)
+        table = pipeline.PatchTable(iter(frames), len(frames), offsets, 32, s, tau, 0.0,
+                                    ["Gr", "L"])
+        assert table.counts.dtype == np.int64 and table.counts.tolist() == counts.tolist()
+        cells = np.prod(pipeline.patch_grid_shape(96, 160, 32, s))
+        assert 0 < counts.sum() == len(table.rows) < len(frames) * len(offsets) * cells
+        # counts[i, j] rows of frame i under offset class j, in that order
+        run_ids = table.rows[:, 0] * len(offsets) + table.rows[:, 1]
+        assert run_ids.tolist() == np.repeat(np.arange(counts.size), counts.ravel()).tolist()
+        assert table.frame_size == (96, 160)
 
     def test_build_peaks_near_the_planes_not_the_patches(self, monkeypatch):
         # at stride 8 the 32x32 windows overlap: under 9 offsets the patches
